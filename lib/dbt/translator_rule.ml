@@ -431,38 +431,30 @@ let on_executed t (rt : Runtime.t) (tb : Tb.t) ~outcome ~guest =
    the first env register write lands one slot over. Confined to
    r0..r13 so shadow verification can both detect and repair it. *)
 let corrupt_prog (prog : Repro_x86.Prog.t) =
-  let code = prog.Repro_x86.Prog.code in
-  let n = Array.length code in
-  let rec scan i =
-    if i >= n then ()
-    else
-      match code.(i) with
+  let hit = ref false in
+  Repro_x86.Prog.rewrite prog (fun b tag insn ->
+      match insn with
       | X.Mov { width = X.W32; dst = X.Mem ({ seg = X.Env; disp; _ } as m); src }
-        when disp land 3 = 0 && disp / 4 <= 12 ->
-        code.(i) <- X.Mov { width = X.W32; dst = X.Mem { m with disp = disp + 4 }; src }
-      | _ -> scan (i + 1)
-  in
-  scan 0
+        when (not !hit) && disp land 3 = 0 && disp / 4 <= 12 ->
+        hit := true;
+        Repro_x86.Prog.emit b ~tag
+          (X.Mov { width = X.W32; dst = X.Mem { m with disp = disp + 4 }; src })
+      | _ -> Repro_x86.Prog.emit b ~tag insn)
 
 (* Fault point: rule-generated code sabotaged into a tight host loop —
    the first real instruction becomes a jump to itself. The TB never
    reaches an exit, burning its host fuel; only the engine's typed
    {!Repro_x86.Exec.Fuel_exhausted} watchdog path can recover. *)
 let livelock_prog (prog : Repro_x86.Prog.t) =
-  let code = prog.Repro_x86.Prog.code in
-  let n = Array.length code in
-  let fresh =
-    1 + Hashtbl.fold (fun l _ acc -> max l acc) prog.Repro_x86.Prog.label_index 0
-  in
-  let rec scan i =
-    if i >= n then ()
-    else if Repro_x86.Prog.is_pseudo code.(i) then scan (i + 1)
-    else begin
-      Hashtbl.replace prog.Repro_x86.Prog.label_index fresh i;
-      code.(i) <- X.Jmp fresh
-    end
-  in
-  scan 0
+  let hit = ref false in
+  Repro_x86.Prog.rewrite prog (fun b tag insn ->
+      if !hit || Repro_x86.Prog.is_pseudo insn then Repro_x86.Prog.emit b ~tag insn
+      else begin
+        hit := true;
+        let self = Repro_x86.Prog.fresh_label b in
+        Repro_x86.Prog.bind_label b self;
+        Repro_x86.Prog.emit b ~tag (X.Jmp self)
+      end)
 
 let build_tb t (rt : Runtime.t) cache ~pc ~insns ~m =
   let privileged = Runtime.privileged rt in
@@ -529,21 +521,21 @@ let build_tb t (rt : Runtime.t) cache ~pc ~insns ~m =
   | Some `Rule_corrupt ->
     (* Snapshot cache rebuild: re-apply the recorded corruption without
        touching the injector's PRNG stream. *)
-    corrupt_prog tb.Tb.prog;
+    tb.Tb.prog <- corrupt_prog tb.Tb.prog;
     tb.Tb.injected <- `Rule_corrupt
   | Some `Livelock ->
-    livelock_prog tb.Tb.prog;
+    tb.Tb.prog <- livelock_prog tb.Tb.prog;
     tb.Tb.injected <- `Livelock
   | Some `None -> ()
   | None -> (
     match rt.Runtime.inject with
     | Some inj when r.Emitter.rule_covered > 0 ->
       if Fi.fire inj Fi.Rule_corrupt then begin
-        corrupt_prog tb.Tb.prog;
+        tb.Tb.prog <- corrupt_prog tb.Tb.prog;
         tb.Tb.injected <- `Rule_corrupt
       end
       else if Fi.fire inj Fi.Host_livelock then begin
-        livelock_prog tb.Tb.prog;
+        tb.Tb.prog <- livelock_prog tb.Tb.prog;
         tb.Tb.injected <- `Livelock
       end
     | _ -> ()));

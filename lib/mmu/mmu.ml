@@ -85,12 +85,11 @@ module Tlb = struct
         then tlb.(base + 1) <- invalid_tag)
       [ false; true ]
 
-  let lookup tlb ~privileged ~write vaddr =
+  let probe tlb ~privileged ~write vaddr =
     let base = set_base_words ~privileged vaddr in
     let tag = vaddr land page_mask in
     let stored = if write then tlb.(base + 1) else tlb.(base) in
-    if stored = tag then Some (tlb.(base + 2) lor (vaddr land (page_size - 1)))
-    else None
+    if stored = tag then tlb.(base + 2) lor (vaddr land (page_size - 1)) else -1
 end
 
 let translate bus cpu vaddr ~access ~privileged =

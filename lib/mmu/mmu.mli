@@ -67,9 +67,9 @@ module Tlb : sig
       it is user-accessible — non-user pages are never filled in the
       user bank at all). *)
 
-  val lookup :
-    int array -> privileged:bool -> write:bool -> Word32.t -> Word32.t option
-  (** Fast-path probe: physical address on hit. *)
+  val probe : int array -> privileged:bool -> write:bool -> Word32.t -> int
+  (** Fast-path probe: physical address on hit, [-1] on a miss (no
+      allocation on either path). *)
 
   val clear_write_tag : int array -> Word32.t -> unit
   (** Drop the write entry for the page of a virtual address in both

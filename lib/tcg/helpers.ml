@@ -120,17 +120,12 @@ let data_abort (rt : Runtime.t) (f : Mem.fault) =
   Runtime.refresh_irq_pending rt;
   stop_exception ()
 
-(* Full softMMU translation in "C": TLB probe, walk + fill on miss,
-   MMIO dispatch. Returns the physical address for RAM pages, or
-   performs the device access directly. *)
-type resolved = Ram_at of int | Device_done of int
-
-let mmu_resolve (rt : Runtime.t) ~(access : Mem.access) ~width vaddr value =
-  let privileged = Runtime.privileged rt in
-  let cpu = rt.Runtime.cpu in
-  let bus = rt.Runtime.bus in
-  let tlb = rt.Runtime.ctx.Exec.tlb in
-  let write = access = Mem.Store in
+(* Full softMMU translation in "C", split at the TLB probe so the
+   hit path allocates nothing. [mmu_probe] checks alignment, charges
+   the hit cost and probes: the physical address on a hit, -1 on a
+   miss. [mmu_miss] walks and fills (RAM pages) or performs the device
+   access directly (MMIO). *)
+let mmu_probe (rt : Runtime.t) ~(access : Mem.access) ~width vaddr =
   let aligned =
     match width with
     | Mem.W8 -> true
@@ -139,6 +134,7 @@ let mmu_resolve (rt : Runtime.t) ~(access : Mem.access) ~width vaddr value =
   in
   if not aligned then data_abort rt { Mem.vaddr; access; kind = Mem.Alignment }
   else begin
+    let tlb = rt.Runtime.ctx.Exec.tlb in
     charge rt X.Tag_mmu (Costs.mmu_helper_hit ());
     (* Fault point: a spurious TLB invalidation right before the probe
        forces the miss path — guest-invisible, cost-only. *)
@@ -148,115 +144,132 @@ let mmu_resolve (rt : Runtime.t) ~(access : Mem.access) ~width vaddr value =
       ->
       Mmu.Tlb.flush tlb
     | _ -> ());
-    match Mmu.Tlb.lookup tlb ~privileged ~write vaddr with
-    | Some paddr -> Ram_at paddr
-    | None ->
-      (* Miss path: translate (or identity when the MMU is off). *)
-      (Runtime.stats rt).Stats.tlb_misses <- (Runtime.stats rt).Stats.tlb_misses + 1;
-      (match rt.Runtime.trace with
-      | Some tr ->
-        Repro_observe.Trace.emit tr ~a:vaddr
-          ~b:(if write then 1 else 0)
-          Repro_observe.Trace.Tlb "miss"
-      | None -> ());
-      charge rt X.Tag_mmu (Costs.mmu_slow_path ());
-      let compute_entry () =
-        if Cpu.mmu_enabled cpu then
-          match Mmu.walk bus ~ttbr:(Cpu.get_ttbr cpu) vaddr with
-          | Error kind -> Error kind
-          | Ok entry -> (
-            match Mmu.check_perms entry ~access ~privileged with
-            | Error kind -> Error kind
-            | Ok () -> Ok entry)
-        else
-          Ok { Mmu.page_pa = vaddr land Mmu.page_mask; writable = true; user = true }
-      in
-      let entry_result = compute_entry () in
-      (* Fault point: the walk result comes back corrupted; detection
-         (modelled table-entry parity) discards it and re-walks. *)
-      let entry_result =
-        match rt.Runtime.inject with
-        | Some inj
-          when Repro_faultinject.Faultinject.fire inj
-                 Repro_faultinject.Faultinject.Walk_corrupt ->
-          charge rt X.Tag_mmu (Costs.mmu_slow_path ());
-          compute_entry ()
-        | _ -> entry_result
-      in
-      (match entry_result with
-      | Error kind -> data_abort rt { Mem.vaddr; access; kind }
-      | Ok entry ->
-        let paddr = entry.Mmu.page_pa lor (vaddr land (Mmu.page_size - 1)) in
-        if Bus.is_ram bus entry.Mmu.page_pa then begin
-          (* translated-code pages stay write-protected in the TLB so
-             every store to them takes this slow path and triggers
-             invalidation *)
-          let fill_entry =
-            if rt.Runtime.is_code_page (vaddr lsr 12) then
-              { entry with Mmu.writable = false }
-            else entry
-          in
-          Mmu.Tlb.fill tlb ~privileged ~vaddr fill_entry;
-          Ram_at paddr
-        end
-        else begin
-          (* MMIO: never cached in the TLB; dispatch through the bus. *)
-          charge rt X.Tag_mmu (Costs.io_access ());
-          let r =
-            match (access, width) with
-            | Mem.Store, Mem.W32 -> Result.map (fun () -> 0) (Bus.write32 bus paddr value)
-            | Mem.Store, Mem.W8 -> Result.map (fun () -> 0) (Bus.write8 bus paddr value)
-            | Mem.Store, Mem.W16 -> (
-              match Bus.write8 bus paddr (value land 0xFF) with
-              | Ok () ->
-                Result.map
-                  (fun () -> 0)
-                  (Bus.write8 bus (paddr + 1) ((value lsr 8) land 0xFF))
-              | Error () -> Error ())
-            | (Mem.Load | Mem.Fetch), Mem.W32 -> Bus.read32 bus paddr
-            | (Mem.Load | Mem.Fetch), Mem.W8 -> Bus.read8 bus paddr
-            | (Mem.Load | Mem.Fetch), Mem.W16 -> (
-              match (Bus.read8 bus paddr, Bus.read8 bus (paddr + 1)) with
-              | Ok lo, Ok hi -> Ok (lo lor (hi lsl 8))
-              | Error (), _ | _, Error () -> Error ())
-          in
-          match r with
-          | Ok v ->
-            check_halt rt;
-            Device_done v
-          | Error () -> data_abort rt { Mem.vaddr; access; kind = Mem.Bus }
-        end)
+    Mmu.Tlb.probe tlb ~privileged:(Runtime.privileged rt) ~write:(access = Mem.Store) vaddr
   end
 
+type resolved = Ram_at of int | Device_done of int
+
+let mmu_miss (rt : Runtime.t) ~(access : Mem.access) ~width vaddr value =
+  let privileged = Runtime.privileged rt in
+  let cpu = rt.Runtime.cpu in
+  let bus = rt.Runtime.bus in
+  let tlb = rt.Runtime.ctx.Exec.tlb in
+  let write = access = Mem.Store in
+  (* Miss path: translate (or identity when the MMU is off). *)
+  (Runtime.stats rt).Stats.tlb_misses <- (Runtime.stats rt).Stats.tlb_misses + 1;
+  (match rt.Runtime.trace with
+  | Some tr ->
+    Repro_observe.Trace.emit tr ~a:vaddr
+      ~b:(if write then 1 else 0)
+      Repro_observe.Trace.Tlb "miss"
+  | None -> ());
+  charge rt X.Tag_mmu (Costs.mmu_slow_path ());
+  let compute_entry () =
+    if Cpu.mmu_enabled cpu then
+      match Mmu.walk bus ~ttbr:(Cpu.get_ttbr cpu) vaddr with
+      | Error kind -> Error kind
+      | Ok entry -> (
+        match Mmu.check_perms entry ~access ~privileged with
+        | Error kind -> Error kind
+        | Ok () -> Ok entry)
+    else
+      Ok { Mmu.page_pa = vaddr land Mmu.page_mask; writable = true; user = true }
+  in
+  let entry_result = compute_entry () in
+  (* Fault point: the walk result comes back corrupted; detection
+     (modelled table-entry parity) discards it and re-walks. *)
+  let entry_result =
+    match rt.Runtime.inject with
+    | Some inj
+      when Repro_faultinject.Faultinject.fire inj
+             Repro_faultinject.Faultinject.Walk_corrupt ->
+      charge rt X.Tag_mmu (Costs.mmu_slow_path ());
+      compute_entry ()
+    | _ -> entry_result
+  in
+  (match entry_result with
+  | Error kind -> data_abort rt { Mem.vaddr; access; kind }
+  | Ok entry ->
+    let paddr = entry.Mmu.page_pa lor (vaddr land (Mmu.page_size - 1)) in
+    if Bus.is_ram bus entry.Mmu.page_pa then begin
+      (* translated-code pages stay write-protected in the TLB so
+         every store to them takes this slow path and triggers
+         invalidation *)
+      let fill_entry =
+        if rt.Runtime.is_code_page (vaddr lsr 12) then
+          { entry with Mmu.writable = false }
+        else entry
+      in
+      Mmu.Tlb.fill tlb ~privileged ~vaddr fill_entry;
+      Ram_at paddr
+    end
+    else begin
+      (* MMIO: never cached in the TLB; dispatch through the bus. *)
+      charge rt X.Tag_mmu (Costs.io_access ());
+      let r =
+        match (access, width) with
+        | Mem.Store, Mem.W32 -> Result.map (fun () -> 0) (Bus.write32 bus paddr value)
+        | Mem.Store, Mem.W8 -> Result.map (fun () -> 0) (Bus.write8 bus paddr value)
+        | Mem.Store, Mem.W16 -> (
+          match Bus.write8 bus paddr (value land 0xFF) with
+          | Ok () ->
+            Result.map
+              (fun () -> 0)
+              (Bus.write8 bus (paddr + 1) ((value lsr 8) land 0xFF))
+          | Error () -> Error ())
+        | (Mem.Load | Mem.Fetch), Mem.W32 -> Bus.read32 bus paddr
+        | (Mem.Load | Mem.Fetch), Mem.W8 -> Bus.read8 bus paddr
+        | (Mem.Load | Mem.Fetch), Mem.W16 -> (
+          match (Bus.read8 bus paddr, Bus.read8 bus (paddr + 1)) with
+          | Ok lo, Ok hi -> Ok (lo lor (hi lsl 8))
+          | Error (), _ | _, Error () -> Error ())
+      in
+      match r with
+      | Ok v ->
+        check_halt rt;
+        Device_done v
+      | Error () -> data_abort rt { Mem.vaddr; access; kind = Mem.Bus }
+    end)
+
+let load_ram (rt : Runtime.t) ~width paddr =
+  match width with
+  | Mem.W8 -> Exec.read_ram8 rt.Runtime.ctx paddr
+  | Mem.W16 -> Exec.read_ram16 rt.Runtime.ctx paddr
+  | Mem.W32 -> Exec.read_ram32 rt.Runtime.ctx paddr
+
 let mmu_load (rt : Runtime.t) ~width vaddr =
-  match mmu_resolve rt ~access:Mem.Load ~width vaddr 0 with
-  | Ram_at paddr -> (
-    match width with
-    | Mem.W8 -> Exec.read_ram8 rt.Runtime.ctx paddr
-    | Mem.W16 -> Exec.read_ram16 rt.Runtime.ctx paddr
-    | Mem.W32 -> Exec.read_ram32 rt.Runtime.ctx paddr)
-  | Device_done v -> v
+  let paddr = mmu_probe rt ~access:Mem.Load ~width vaddr in
+  if paddr >= 0 then load_ram rt ~width paddr
+  else
+    match mmu_miss rt ~access:Mem.Load ~width vaddr 0 with
+    | Ram_at paddr -> load_ram rt ~width paddr
+    | Device_done v -> v
+
+let store_ram (rt : Runtime.t) ~width vaddr paddr value =
+  (match width with
+  | Mem.W8 -> Exec.write_ram8 rt.Runtime.ctx paddr value
+  | Mem.W16 -> Exec.write_ram16 rt.Runtime.ctx paddr (value land 0xFFFF)
+  | Mem.W32 -> Exec.write_ram32 rt.Runtime.ctx paddr (Word32.mask value));
+  (* self-modifying code: the store completed; make the engine drop
+     the (now stale) translations and resume at this very store,
+     whose re-execution is idempotent *)
+  if rt.Runtime.is_code_page (vaddr lsr 12) then
+    if rt.Runtime.suppress_code_write then
+      (* this store belongs to the singleton TB just retranslated
+         after an invalidation — let it complete *)
+      rt.Runtime.suppress_code_write <- false
+    else begin
+      charge rt X.Tag_glue (Costs.exception_entry ());
+      stop_code_write ()
+    end
 
 let mmu_store (rt : Runtime.t) ~width vaddr value =
-  (match mmu_resolve rt ~access:Mem.Store ~width vaddr value with
-  | Ram_at paddr -> (
-    (match width with
-    | Mem.W8 -> Exec.write_ram8 rt.Runtime.ctx paddr value
-    | Mem.W16 -> Exec.write_ram16 rt.Runtime.ctx paddr (value land 0xFFFF)
-    | Mem.W32 -> Exec.write_ram32 rt.Runtime.ctx paddr (Word32.mask value));
-    (* self-modifying code: the store completed; make the engine drop
-       the (now stale) translations and resume at this very store,
-       whose re-execution is idempotent *)
-    if rt.Runtime.is_code_page (vaddr lsr 12) then
-      if rt.Runtime.suppress_code_write then
-        (* this store belongs to the singleton TB just retranslated
-           after an invalidation — let it complete *)
-        rt.Runtime.suppress_code_write <- false
-      else begin
-        charge rt X.Tag_glue (Costs.exception_entry ());
-        stop_code_write ()
-      end)
-  | Device_done _ -> ());
+  let paddr = mmu_probe rt ~access:Mem.Store ~width vaddr in
+  (if paddr >= 0 then store_ram rt ~width vaddr paddr value
+   else
+     match mmu_miss rt ~access:Mem.Store ~width vaddr value with
+     | Ram_at paddr -> store_ram rt ~width vaddr paddr value
+     | Device_done _ -> ());
   0
 
 let install (rt : Runtime.t) =

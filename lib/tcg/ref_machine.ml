@@ -26,9 +26,11 @@ type outcome = Halted of Word32.t | Step_limit | Decode_error of string
 
 let run t ~max_steps =
   let iterations = ref 0 in
+  (* saturated: [4 * max_int] would wrap negative and stop at once *)
+  let max_iterations = if max_steps > max_int / 4 then max_int else 4 * max_steps in
   let rec loop n =
     incr iterations;
-    if n >= max_steps || !iterations > 4 * max_steps then (Step_limit, n)
+    if n >= max_steps || !iterations > max_iterations then (Step_limit, n)
     else
       match Bus.halted t.bus with
       | Some code -> (Halted code, n)

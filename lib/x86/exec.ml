@@ -1,389 +1,37 @@
-open Repro_common
-
-type t = {
-  regs : int array;
-  mutable cf : bool;
-  mutable zf : bool;
-  mutable sf : bool;
-  mutable o_f : bool;
-  env : int array;
-  ram : Bytes.t;
-  tlb : int array;
-  stats : Stats.t;
-  mutable helper : t -> int -> int;
-  mutable poison_counter : int;
-}
+include Ctx
 
 exception Helper_stop of { code : int; arg : int }
 exception Fuel_exhausted of { spent : int }
 
-let create ?(env_slots = 64) ?(ram_size = 1 lsl 20) ?(tlb_words = 768) () =
-  {
-    regs = Array.make 16 0;
-    cf = false;
-    zf = false;
-    sf = false;
-    o_f = false;
-    env = Array.make env_slots 0;
-    ram = Bytes.make ram_size '\000';
-    tlb = Array.make tlb_words 0;
-    stats = Stats.create ();
-    helper = (fun _ _ -> failwith "Exec: no helper dispatcher installed");
-    poison_counter = 0;
-  }
-
-let get_flags_word t =
-  let b cond bit = if cond then 1 lsl bit else 0 in
-  b t.sf 31 lor b t.zf 30 lor b t.cf 29 lor b t.o_f 28
-
-let set_flags_word t w =
-  t.sf <- Word32.bit w 31;
-  t.zf <- Word32.bit w 30;
-  t.cf <- Word32.bit w 29;
-  t.o_f <- Word32.bit w 28
-
-let eval_cc t (cc : Insn.cc) =
-  match cc with
-  | Insn.E -> t.zf
-  | Insn.NE -> not t.zf
-  | Insn.B -> t.cf
-  | Insn.AE -> not t.cf
-  | Insn.S -> t.sf
-  | Insn.NS -> not t.sf
-  | Insn.O -> t.o_f
-  | Insn.NO -> not t.o_f
-  | Insn.A -> (not t.cf) && not t.zf
-  | Insn.BE -> t.cf || t.zf
-  | Insn.GE -> t.sf = t.o_f
-  | Insn.L -> t.sf <> t.o_f
-  | Insn.G -> (not t.zf) && t.sf = t.o_f
-  | Insn.LE -> t.zf || t.sf <> t.o_f
-
-let read_ram32 t addr =
-  Char.code (Bytes.get t.ram addr)
-  lor (Char.code (Bytes.get t.ram (addr + 1)) lsl 8)
-  lor (Char.code (Bytes.get t.ram (addr + 2)) lsl 16)
-  lor (Char.code (Bytes.get t.ram (addr + 3)) lsl 24)
-
-let write_ram32 t addr v =
-  Bytes.set t.ram addr (Char.chr (v land 0xFF));
-  Bytes.set t.ram (addr + 1) (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set t.ram (addr + 2) (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set t.ram (addr + 3) (Char.chr ((v lsr 24) land 0xFF))
-
-let read_ram8 t addr = Char.code (Bytes.get t.ram addr)
-let write_ram8 t addr v = Bytes.set t.ram addr (Char.chr (v land 0xFF))
-
-let read_ram16 t addr =
-  Char.code (Bytes.get t.ram addr) lor (Char.code (Bytes.get t.ram (addr + 1)) lsl 8)
-
-let write_ram16 t addr v =
-  Bytes.set t.ram addr (Char.chr (v land 0xFF));
-  Bytes.set t.ram (addr + 1) (Char.chr ((v lsr 8) land 0xFF))
-
-let resolve_mem t ({ base; index; scale; disp; seg = _ } : Insn.mem) =
-  let b = match base with Some r -> t.regs.(r) | None -> 0 in
-  let i = match index with Some r -> t.regs.(r) * scale | None -> 0 in
-  Word32.mask (b + i + disp)
-
-let read_mem32 t (m : Insn.mem) =
-  let addr = resolve_mem t m in
-  match m.seg with
-  | Insn.Env ->
-    assert (addr land 3 = 0);
-    t.env.(addr lsr 2)
-  | Insn.Ram -> read_ram32 t addr
-  | Insn.Tlb ->
-    assert (addr land 3 = 0);
-    t.tlb.(addr lsr 2)
-
-let write_mem32 t (m : Insn.mem) v =
-  let addr = resolve_mem t m in
-  match m.seg with
-  | Insn.Env ->
-    assert (addr land 3 = 0);
-    t.env.(addr lsr 2) <- v
-  | Insn.Ram -> write_ram32 t addr v
-  | Insn.Tlb ->
-    assert (addr land 3 = 0);
-    t.tlb.(addr lsr 2) <- v
-
-let read_mem16 t (m : Insn.mem) =
-  let addr = resolve_mem t m in
-  match m.seg with
-  | Insn.Ram -> read_ram16 t addr
-  | Insn.Env -> t.env.(addr lsr 2) land 0xFFFF
-  | Insn.Tlb -> t.tlb.(addr lsr 2) land 0xFFFF
-
-let write_mem16 t (m : Insn.mem) v =
-  let addr = resolve_mem t m in
-  match m.seg with
-  | Insn.Ram -> write_ram16 t addr v
-  | Insn.Env -> t.env.(addr lsr 2) <- Word32.insert t.env.(addr lsr 2) ~lo:0 ~len:16 v
-  | Insn.Tlb -> t.tlb.(addr lsr 2) <- Word32.insert t.tlb.(addr lsr 2) ~lo:0 ~len:16 v
-
-let read_mem8 t (m : Insn.mem) =
-  let addr = resolve_mem t m in
-  match m.seg with
-  | Insn.Ram -> read_ram8 t addr
-  | Insn.Env -> t.env.(addr lsr 2) land 0xFF
-  | Insn.Tlb -> t.tlb.(addr lsr 2) land 0xFF
-
-let write_mem8 t (m : Insn.mem) v =
-  let addr = resolve_mem t m in
-  match m.seg with
-  | Insn.Ram -> write_ram8 t addr v
-  | Insn.Env -> t.env.(addr lsr 2) <- Word32.insert t.env.(addr lsr 2) ~lo:0 ~len:8 v
-  | Insn.Tlb -> t.tlb.(addr lsr 2) <- Word32.insert t.tlb.(addr lsr 2) ~lo:0 ~len:8 v
-
-let read_operand t = function
-  | Insn.Reg r -> t.regs.(r)
-  | Insn.Imm n -> Word32.mask n
-  | Insn.Mem m -> read_mem32 t m
-
-let write_operand t op v =
-  let v = Word32.mask v in
-  match op with
-  | Insn.Reg r -> t.regs.(r) <- v
-  | Insn.Mem m -> write_mem32 t m v
-  | Insn.Imm _ -> invalid_arg "write to immediate"
-
-let set_logic_flags t r =
-  t.zf <- r = 0;
-  t.sf <- Word32.is_negative r;
-  t.cf <- false;
-  t.o_f <- false
-
-let set_sz t r =
-  t.zf <- r = 0;
-  t.sf <- Word32.is_negative r
-
-let exec_alu t op dst src =
-  let a = read_operand t dst and b = read_operand t src in
-  match op with
-  | Insn.Add ->
-    let r = Word32.add a b in
-    t.cf <- Word32.carry_of_add a b ~carry_in:false;
-    t.o_f <- Word32.overflow_of_add a b r;
-    set_sz t r;
-    write_operand t dst r
-  | Insn.Adc ->
-    let cin = t.cf in
-    let r = Word32.mask (a + b + if cin then 1 else 0) in
-    t.cf <- Word32.carry_of_add a b ~carry_in:cin;
-    t.o_f <- Word32.overflow_of_add a b r;
-    set_sz t r;
-    write_operand t dst r
-  | Insn.Sub ->
-    let r = Word32.sub a b in
-    t.cf <- Word32.borrow_of_sub a b ~borrow_in:false;
-    t.o_f <- Word32.overflow_of_sub a b r;
-    set_sz t r;
-    write_operand t dst r
-  | Insn.Sbb ->
-    let bin = t.cf in
-    let r = Word32.mask (a - b - if bin then 1 else 0) in
-    t.cf <- Word32.borrow_of_sub a b ~borrow_in:bin;
-    t.o_f <- Word32.overflow_of_sub a b r;
-    set_sz t r;
-    write_operand t dst r
-  | Insn.And ->
-    let r = Word32.logand a b in
-    set_logic_flags t r;
-    write_operand t dst r
-  | Insn.Or ->
-    let r = Word32.logor a b in
-    set_logic_flags t r;
-    write_operand t dst r
-  | Insn.Xor ->
-    let r = Word32.logxor a b in
-    set_logic_flags t r;
-    write_operand t dst r
-  | Insn.Cmp ->
-    let r = Word32.sub a b in
-    t.cf <- Word32.borrow_of_sub a b ~borrow_in:false;
-    t.o_f <- Word32.overflow_of_sub a b r;
-    set_sz t r
-  | Insn.Test ->
-    let r = Word32.logand a b in
-    set_logic_flags t r
-
-let exec_shift t op dst amount =
-  let v = read_operand t dst in
-  let n =
-    match amount with Insn.Sh_imm n -> n land 31 | Insn.Sh_cl -> t.regs.(1) land 31
-  in
-  if n <> 0 then begin
-    let r =
-      match op with
-      | Insn.Shl -> Word32.shift_left v n
-      | Insn.Shr -> Word32.shift_right_logical v n
-      | Insn.Sar -> Word32.shift_right_arith v n
-      | Insn.Ror -> Word32.rotate_right v n
-    in
-    (match op with
-    | Insn.Shl ->
-      t.cf <- Word32.bit v (32 - n);
-      t.o_f <- false;
-      set_sz t r
-    | Insn.Shr | Insn.Sar ->
-      t.cf <- Word32.bit v (n - 1);
-      t.o_f <- false;
-      set_sz t r
-    | Insn.Ror ->
-      (* x86 ror updates only CF (and OF for 1-bit); SF/ZF preserved. *)
-      t.cf <- Word32.bit r 31);
-    write_operand t dst r
-  end
-
-(* Deterministic, obviously-wrong values: coordination bugs surface as
-   0xBAD... register contents in differential tests. *)
-let poison_caller_saved t =
-  for r = 0 to 15 do
-    if r <> Insn.rbp && r <> Insn.rsp then begin
-      t.poison_counter <- t.poison_counter + 1;
-      t.regs.(r) <- Word32.mask (0xBAD0000 + t.poison_counter)
-    end
-  done
-
 type outcome = Exited of int | Stopped of { code : int; arg : int }
 
-let bump_counter t (c : Insn.counter) =
-  match c with
-  | Insn.Cnt_guest_insn attr -> Stats.retire t.stats attr
-  | Insn.Cnt_sync_op -> t.stats.Stats.sync_ops <- t.stats.Stats.sync_ops + 1
-  | Insn.Cnt_mmu_access -> t.stats.Stats.mmu_accesses <- t.stats.Stats.mmu_accesses + 1
-  | Insn.Cnt_irq_poll -> t.stats.Stats.irq_polls <- t.stats.Stats.irq_polls + 1
+(* the usual exit slots come back as static values, not allocated *)
+let exited = function
+  | 0 -> Exited 0
+  | 1 -> Exited 1
+  | 2 -> Exited 2
+  | 3 -> Exited 3
+  | s -> Exited s
+
+(* The only per-instruction work left at run time: charge a retired
+   instruction to its tag and check fuel (both before its effect),
+   then run its compiled operation. [Prog.finalize] guarantees every
+   index an operation returns is a valid operation or an exit. A
+   top-level function, so running a TB allocates no closure. *)
+let rec loop t ops charge stats by_tag fuel i spent =
+  if i < 0 then exited (-1 - i)
+  else
+    let k = Char.code (Bytes.unsafe_get charge i) in
+    if k = 255 then loop t ops charge stats by_tag fuel ((Array.unsafe_get ops i) t) spent
+    else begin
+      stats.Stats.host_insns <- stats.Stats.host_insns + 1;
+      Array.unsafe_set by_tag k (Array.unsafe_get by_tag k + 1);
+      let spent = spent + 1 in
+      if spent > fuel then raise (Fuel_exhausted { spent });
+      loop t ops charge stats by_tag fuel ((Array.unsafe_get ops i) t) spent
+    end
 
 let run t (prog : Prog.t) ~fuel =
-  let code = prog.Prog.code in
-  let tags = prog.Prog.tags in
-  let n = Array.length code in
-  let target l =
-    match Hashtbl.find_opt prog.Prog.label_index l with
-    | Some i -> i
-    | None -> failwith (Printf.sprintf "Exec: undefined label %d" l)
-  in
-  let spent = ref 0 in
-  let rec step i =
-    if i >= n then failwith "Exec: fell off the end of a TB (missing Exit)"
-    else begin
-      let insn = code.(i) in
-      if not (Prog.is_pseudo insn) then begin
-        Stats.charge_tag t.stats tags.(i) 1;
-        incr spent;
-        if !spent > fuel then raise (Fuel_exhausted { spent = !spent })
-      end;
-      match insn with
-      | Insn.Label _ -> step (i + 1)
-      | Insn.Count c ->
-        bump_counter t c;
-        step (i + 1)
-      | Insn.Mov { width = Insn.W32; dst; src } ->
-        write_operand t dst (read_operand t src);
-        step (i + 1)
-      | Insn.Mov { width = Insn.W8; dst; src } ->
-        let v = (match src with
-          | Insn.Reg r -> t.regs.(r) land 0xFF
-          | Insn.Imm v -> v land 0xFF
-          | Insn.Mem m -> read_mem8 t m)
-        in
-        (match dst with
-        | Insn.Reg r -> t.regs.(r) <- Word32.insert t.regs.(r) ~lo:0 ~len:8 v
-        | Insn.Mem m -> write_mem8 t m v
-        | Insn.Imm _ -> invalid_arg "write to immediate");
-        step (i + 1)
-      | Insn.Mov { width = Insn.W16; dst; src } ->
-        let v = (match src with
-          | Insn.Reg r -> t.regs.(r) land 0xFFFF
-          | Insn.Imm v -> v land 0xFFFF
-          | Insn.Mem m -> read_mem16 t m)
-        in
-        (match dst with
-        | Insn.Reg r -> t.regs.(r) <- Word32.insert t.regs.(r) ~lo:0 ~len:16 v
-        | Insn.Mem m -> write_mem16 t m v
-        | Insn.Imm _ -> invalid_arg "write to immediate");
-        step (i + 1)
-      | Insn.Movzx16 { dst; src } ->
-        let v = (match src with
-          | Insn.Reg r -> t.regs.(r) land 0xFFFF
-          | Insn.Imm v -> v land 0xFFFF
-          | Insn.Mem m -> read_mem16 t m)
-        in
-        t.regs.(dst) <- v;
-        step (i + 1)
-      | Insn.Movsx8 { dst; src } ->
-        let v = (match src with
-          | Insn.Reg r -> t.regs.(r) land 0xFF
-          | Insn.Imm v -> v land 0xFF
-          | Insn.Mem m -> read_mem8 t m)
-        in
-        t.regs.(dst) <- Word32.mask (Word32.sign_extend ~width:8 v);
-        step (i + 1)
-      | Insn.Movsx16 { dst; src } ->
-        let v = (match src with
-          | Insn.Reg r -> t.regs.(r) land 0xFFFF
-          | Insn.Imm v -> v land 0xFFFF
-          | Insn.Mem m -> read_mem16 t m)
-        in
-        t.regs.(dst) <- Word32.mask (Word32.sign_extend ~width:16 v);
-        step (i + 1)
-      | Insn.Movzx8 { dst; src } ->
-        let v = (match src with
-          | Insn.Reg r -> t.regs.(r) land 0xFF
-          | Insn.Imm v -> v land 0xFF
-          | Insn.Mem m -> read_mem8 t m)
-        in
-        t.regs.(dst) <- v;
-        step (i + 1)
-      | Insn.Lea { dst; addr } ->
-        t.regs.(dst) <- resolve_mem t addr;
-        step (i + 1)
-      | Insn.Alu { op; dst; src } ->
-        exec_alu t op dst src;
-        step (i + 1)
-      | Insn.Neg o ->
-        let v = read_operand t o in
-        let r = Word32.neg v in
-        t.cf <- v <> 0;
-        t.o_f <- v = 0x8000_0000;
-        set_sz t r;
-        write_operand t o r;
-        step (i + 1)
-      | Insn.Not o ->
-        write_operand t o (Word32.lognot (read_operand t o));
-        step (i + 1)
-      | Insn.Imul { dst; src } ->
-        let r = Word32.mul t.regs.(dst) (read_operand t src) in
-        t.regs.(dst) <- r;
-        (* Model simplification: imul defines SF/ZF, clears CF/OF. *)
-        set_logic_flags t r;
-        step (i + 1)
-      | Insn.Shift { op; dst; amount } ->
-        exec_shift t op dst amount;
-        step (i + 1)
-      | Insn.Setcc { cc; dst } ->
-        t.regs.(dst) <- (if eval_cc t cc then 1 else 0);
-        step (i + 1)
-      | Insn.Cmovcc { cc; dst; src } ->
-        if eval_cc t cc then t.regs.(dst) <- read_operand t src;
-        step (i + 1)
-      | Insn.Jcc { cc; target = l } ->
-        if eval_cc t cc then step (target l) else step (i + 1)
-      | Insn.Jmp l -> step (target l)
-      | Insn.Savef r ->
-        t.regs.(r) <- get_flags_word t;
-        step (i + 1)
-      | Insn.Loadf r ->
-        set_flags_word t t.regs.(r);
-        step (i + 1)
-      | Insn.Call_helper { id } ->
-        t.stats.Stats.helper_calls <- t.stats.Stats.helper_calls + 1;
-        let ret = t.helper t id in
-        poison_caller_saved t;
-        t.regs.(Insn.rax) <- Word32.mask ret;
-        step (i + 1)
-      | Insn.Exit { slot } -> Exited slot
-    end
-  in
-  try step 0 with Helper_stop { code; arg } -> Stopped { code; arg }
+  let stats = t.stats in
+  try loop t prog.Prog.ops prog.Prog.charge stats stats.Stats.by_tag fuel 0 0
+  with Helper_stop { code; arg } -> Stopped { code; arg }

@@ -1,8 +1,10 @@
-(** Host execution context and instruction-counting interpreter.
+(** The host-code executor.
 
-    The context owns the three address spaces emitted code can touch
-    (guest-state [Env] array, guest physical [Ram], softMMU [Tlb]
-    array) plus the 16-register file and EFLAGS. Helper calls dispatch
+    {!run} executes a finalized {!Prog.t}: per retired instruction it
+    charges [stats] under the instruction's tag, checks fuel, then
+    calls the operation {!Prog.finalize} compiled for it. There is no
+    instruction decoding at run time. The execution context is
+    {!Ctx.t}, re-exported here with its fields. Helper calls dispatch
     to OCaml closures; on return every register except rbp/rsp is
     poisoned with a deterministic garbage value, so translated code
     that fails to coordinate guest CPU state breaks loudly in
@@ -10,7 +12,7 @@
 
 open Repro_common
 
-type t = {
+type t = Ctx.t = {
   regs : int array;  (** 16 host registers, 32-bit values *)
   mutable cf : bool;
   mutable zf : bool;
@@ -47,7 +49,6 @@ val get_flags_word : t -> Word32.t
     what [Savef] stores. *)
 
 val set_flags_word : t -> Word32.t -> unit
-val eval_cc : t -> Insn.cc -> bool
 val read_ram32 : t -> int -> Word32.t
 val write_ram32 : t -> int -> Word32.t -> unit
 val read_ram8 : t -> int -> int
@@ -60,9 +61,14 @@ type outcome =
   | Stopped of { code : int; arg : int }  (** a helper raised {!Helper_stop} *)
 
 val run : t -> Prog.t -> fuel:int -> outcome
-(** Execute a finalized program from index 0, charging [stats] per
-    retired instruction. Raises {!Fuel_exhausted} if [fuel] countable
-    instructions are exceeded (runaway-loop guard). *)
+(** Execute a finalized program from its first instruction. Each
+    retired (non-pseudo) instruction is charged to its tag, and the
+    fuel check made, before its effect; a helper call is charged
+    before the helper runs; [Count] markers are free. Raises
+    {!Fuel_exhausted} once more than [fuel] countable instructions
+    have been charged (runaway-loop guard), and [Failure] on a taken
+    jump to an unbound label or when control runs past the last
+    instruction. *)
 
 val poison_caller_saved : t -> unit
 (** What a helper return does to the register file (exposed for the

@@ -47,19 +47,59 @@ let length b = b.count
 type t = {
   code : Insn.t array;
   tags : Insn.tag array;
-  label_index : (int, int) Hashtbl.t;
+  ops : Compile.op array;
+  charge : Bytes.t;
 }
+
+let uncharged = '\255'
 
 let finalize b =
   let items = Array.of_list (List.rev b.rev_code) in
-  let code = Array.map fst items in
-  let tags = Array.map snd items in
-  let label_index = Hashtbl.create 16 in
+  let code = Array.map fst items and tags = Array.map snd items in
+  (* Labels are not operations: each resolves to the index of the
+     next real one (a rebound label keeps its last binding). *)
+  let labels = Hashtbl.create 8 in
+  let n_ops =
+    Array.fold_left
+      (fun k insn ->
+        match insn with
+        | Insn.Label l ->
+          Hashtbl.replace labels l k;
+          k
+        | _ -> k + 1)
+      0 code
+  in
+  let target l = match Hashtbl.find_opt labels l with Some k -> k | None -> -1 in
+  (* one trailing operation catches control that runs past the end *)
+  let ops = Array.make (n_ops + 1) Compile.fell_off in
+  let charge = Bytes.make (n_ops + 1) uncharged in
+  let k = ref 0 in
   Array.iteri
     (fun i insn ->
-      match insn with Insn.Label l -> Hashtbl.replace label_index l i | _ -> ())
+      match insn with
+      | Insn.Label _ -> ()
+      | _ ->
+        ops.(!k) <- Compile.insn insn ~next:(!k + 1) ~target;
+        if not (is_pseudo insn) then
+          Bytes.set charge !k (Char.unsafe_chr (Stats.tag_index tags.(i)));
+        incr k)
     code;
-  { code; tags; label_index }
+  { code; tags; ops; charge }
+
+let rewrite t f =
+  let next_label =
+    Array.fold_left
+      (fun acc insn -> match insn with Insn.Label l -> max acc (l + 1) | _ -> acc)
+      0 t.code
+  in
+  let b = { rev_code = []; next_label; count = 0 } in
+  Array.iteri
+    (fun i insn ->
+      match insn with
+      | Insn.Label _ -> emit b ~tag:t.tags.(i) insn
+      | _ -> f b t.tags.(i) insn)
+    t.code;
+  finalize b
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

@@ -1,8 +1,12 @@
 (** Host-code builder and finalized translation-block programs.
 
-    Emission is append-only with fresh local labels; {!finalize}
-    produces an immutable program with a label→index table that the
-    {!Exec} interpreter runs directly. *)
+    Emission is append-only with fresh local labels. {!finalize}
+    produces an immutable program and compiles it, once, into the form
+    {!Exec.run} executes: one [Ctx.t -> int] closure per non-label
+    instruction, specialised by operand shape, segment, width and
+    condition code, with labels resolved to operation indices and tags
+    to charge indices. Each operation returns the index of the next
+    one; exit slot [s] comes back as [-1 - s]. *)
 
 type builder
 
@@ -29,12 +33,26 @@ val length : builder -> int
 (** Number of countable (non-pseudo) instructions emitted so far. *)
 
 type t = private {
-  code : Insn.t array;
-  tags : Insn.tag array;
-  label_index : (int, int) Hashtbl.t;  (** label id → code index *)
+  code : Insn.t array;  (** the instructions, labels included *)
+  tags : Insn.tag array;  (** stats category of each [code] entry *)
+  ops : (Ctx.t -> int) array;
+      (** compiled operations, one per non-label instruction, plus a
+          trailing one that fails with the fell-off-the-end message *)
+  charge : Bytes.t;
+      (** per operation: {!Stats.tag_index} of the tag a retired
+          instruction is charged to, or ['\255'] for the zero-cost
+          [Count] markers and the trailing operation *)
 }
 
 val finalize : builder -> t
+
+val rewrite : t -> (builder -> Insn.tag -> Insn.t -> unit) -> t
+(** [rewrite p f] rebuilds [p] through a fresh builder: labels are
+    copied, and every other instruction is handed to [f] with its tag
+    to re-emit as it likes. The builder's {!fresh_label} starts past
+    every label of [p]. Used to derive the fault-injected variants of
+    a program without mutating it. *)
+
 val pp : Format.formatter -> t -> unit
 val static_count : t -> int
 (** Countable (non-pseudo) instructions in the program. *)

@@ -3,6 +3,72 @@
    (tier | class | idiom | rule — see Repro_covscope.Attr). *)
 type cov_entry = { mutable cn : int; mutable ccost : int }
 
+(* attribution word -> row, open-addressed: the lookup runs on every
+   retired guest instruction, so it is a multiplicative hash and a
+   linear probe over flat arrays (no C call, no allocation on a hit).
+   Capacity is a power of two kept at least twice [used]. *)
+type cov_table = {
+  mutable keys : int array;  (* attribution word, or -1 for an empty slot *)
+  mutable rows : cov_entry array;
+  mutable used : int;
+}
+
+let dummy_row () = { cn = 0; ccost = 0 }
+
+let cov_clear tb =
+  tb.keys <- Array.make 64 (-1);
+  tb.rows <- Array.make 64 (dummy_row ());
+  tb.used <- 0
+
+let cov_table () =
+  let tb = { keys = [||]; rows = [||]; used = 0 } in
+  cov_clear tb;
+  tb
+
+let rec cov_probe keys attr mask i =
+  let k = Array.unsafe_get keys i in
+  if k = attr || k < 0 then i else cov_probe keys attr mask ((i + 1) land mask)
+
+(* slot holding [attr], or the empty slot where it belongs *)
+let cov_slot keys attr =
+  let mask = Array.length keys - 1 in
+  let h = attr * 0x2545F4914F6CDD1D in
+  cov_probe keys attr mask ((h lxor (h lsr 32)) land mask)
+
+let cov_grow tb =
+  let keys = tb.keys and rows = tb.rows in
+  let cap = 2 * Array.length keys in
+  tb.keys <- Array.make cap (-1);
+  tb.rows <- Array.make cap (dummy_row ());
+  Array.iteri
+    (fun i k ->
+      if k >= 0 then begin
+        let j = cov_slot tb.keys k in
+        tb.keys.(j) <- k;
+        tb.rows.(j) <- rows.(i)
+      end)
+    keys
+
+(* the slot of [attr] (>= 0), with an empty row created on first use *)
+let cov_find tb attr =
+  let i = cov_slot tb.keys attr in
+  if Array.unsafe_get tb.keys i = attr then i
+  else begin
+    tb.keys.(i) <- attr;
+    tb.rows.(i) <- { cn = 0; ccost = 0 };
+    tb.used <- tb.used + 1;
+    if 2 * tb.used > Array.length tb.keys then begin
+      cov_grow tb;
+      cov_slot tb.keys attr
+    end
+    else i
+  end
+
+let cov_fold f tb acc =
+  let acc = ref acc in
+  Array.iteri (fun i k -> if k >= 0 then acc := f k tb.rows.(i) !acc) tb.keys;
+  !acc
+
 type t = {
   mutable host_insns : int;
   by_tag : int array;
@@ -32,11 +98,12 @@ type t = {
      since [cov_mark]) and opens its own, so the attributed costs
      partition [host_insns] exactly (up to the open tail,
      [cov_residual]). *)
-  cov : (int, cov_entry) Hashtbl.t;
+  cov : cov_table;
   mutable cov_pending : int;  (* attr accruing cost; -1 = none yet *)
+  mutable cov_pending_slot : int;
+      (* its slot in [cov]; an int, so the per-retirement update needs
+         no write barrier *)
   mutable cov_mark : int;     (* host_insns at the last retirement *)
-  mutable cov_last_attr : int;
-  mutable cov_last : cov_entry option;  (* one-entry lookup cache *)
 }
 
 let n_tags = List.length Insn.all_tags
@@ -63,11 +130,10 @@ let create () =
     quarantine_fallbacks = 0;
     livelocks_recovered = 0;
     regions_formed = 0;
-    cov = Hashtbl.create 64;
+    cov = cov_table ();
     cov_pending = -1;
+    cov_pending_slot = 0;
     cov_mark = 0;
-    cov_last_attr = -1;
-    cov_last = None;
   }
 
 let reset t =
@@ -91,18 +157,19 @@ let reset t =
   t.quarantine_fallbacks <- 0;
   t.livelocks_recovered <- 0;
   t.regions_formed <- 0;
-  Hashtbl.reset t.cov;
+  cov_clear t.cov;
   t.cov_pending <- -1;
-  t.cov_mark <- 0;
-  t.cov_last_attr <- -1;
-  t.cov_last <- None
+  t.cov_pending_slot <- 0;
+  t.cov_mark <- 0
 
-let tag_index tag =
-  let rec find i = function
-    | [] -> assert false
-    | hd :: tl -> if hd = tag then i else find (i + 1) tl
-  in
-  find 0 Insn.all_tags
+(* position of [tag] in [Insn.all_tags] *)
+let tag_index (tag : Insn.tag) =
+  match tag with
+  | Insn.Tag_compute -> 0
+  | Insn.Tag_sync -> 1
+  | Insn.Tag_mmu -> 2
+  | Insn.Tag_irq_check -> 3
+  | Insn.Tag_glue -> 4
 
 let charge_tag t tag n =
   t.host_insns <- t.host_insns + n;
@@ -112,42 +179,28 @@ let tag_count t tag = t.by_tag.(tag_index tag)
 
 (* ---- coverage attribution ---- *)
 
-let cov_entry t attr =
-  match t.cov_last with
-  | Some e when t.cov_last_attr = attr -> e
-  | _ ->
-    let e =
-      match Hashtbl.find_opt t.cov attr with
-      | Some e -> e
-      | None ->
-        let e = { cn = 0; ccost = 0 } in
-        Hashtbl.add t.cov attr e;
-        e
-    in
-    t.cov_last_attr <- attr;
-    t.cov_last <- Some e;
-    e
-
 let retire t attr =
+  let tb = t.cov in
   if t.cov_pending >= 0 then begin
     let d = t.host_insns - t.cov_mark in
     if d > 0 then begin
-      let e = cov_entry t t.cov_pending in
+      let e = tb.rows.(t.cov_pending_slot) in
       e.ccost <- e.ccost + d
     end
   end;
   t.guest_insns <- t.guest_insns + 1;
-  let e = cov_entry t attr in
+  let i = if attr = t.cov_pending then t.cov_pending_slot else cov_find tb attr in
+  let e = tb.rows.(i) in
   e.cn <- e.cn + 1;
   t.cov_mark <- t.host_insns;
-  t.cov_pending <- attr
+  t.cov_pending <- attr;
+  t.cov_pending_slot <- i
 
 let cov_entries t =
-  Hashtbl.fold (fun attr e acc -> (attr, e.cn, e.ccost) :: acc) t.cov []
-  |> List.sort compare
+  cov_fold (fun attr e acc -> (attr, e.cn, e.ccost) :: acc) t.cov [] |> List.sort compare
 
-let cov_retired t = Hashtbl.fold (fun _ e acc -> acc + e.cn) t.cov 0
-let cov_attributed t = Hashtbl.fold (fun _ e acc -> acc + e.ccost) t.cov 0
+let cov_retired t = cov_fold (fun _ e acc -> acc + e.cn) t.cov 0
+let cov_attributed t = cov_fold (fun _ e acc -> acc + e.ccost) t.cov 0
 let cov_residual t = t.host_insns - t.cov_mark
 
 let host_per_guest t =
@@ -251,15 +304,17 @@ let load_array t a =
   let n_entries = a.(base + 2) in
   if Array.length a <> base + 3 + (3 * n_entries) then
     invalid_arg "Stats.load_array: bad length";
-  Hashtbl.reset t.cov;
-  t.cov_last_attr <- -1;
-  t.cov_last <- None;
+  cov_clear t.cov;
   t.cov_mark <- a.(base);
-  t.cov_pending <- a.(base + 1) - 1;
   for i = 0 to n_entries - 1 do
     let o = base + 3 + (3 * i) in
-    Hashtbl.replace t.cov a.(o) { cn = a.(o + 1); ccost = a.(o + 2) }
+    if a.(o) < 0 then invalid_arg "Stats.load_array: negative attribution word";
+    let e = t.cov.rows.(cov_find t.cov a.(o)) in
+    e.cn <- a.(o + 1);
+    e.ccost <- a.(o + 2)
   done;
+  t.cov_pending <- a.(base + 1) - 1;
+  t.cov_pending_slot <- (if t.cov_pending >= 0 then cov_find t.cov t.cov_pending else 0);
   t.host_insns <- a.(0);
   t.helper_insns <- a.(1);
   t.helper_calls <- a.(2);

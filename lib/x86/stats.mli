@@ -6,6 +6,9 @@ type cov_entry = { mutable cn : int; mutable ccost : int }
     ([cn]) and attributed host-instruction cost ([ccost]) of one
     packed attribution word (see [Repro_covscope.Attr]). *)
 
+type cov_table
+(** The coverage-attribution table: attribution word → row. *)
+
 type t = {
   mutable host_insns : int;
       (** Dynamically executed host instructions, including modelled
@@ -43,27 +46,30 @@ type t = {
           rollback + degraded re-execution) *)
   mutable regions_formed : int;
       (** hot-region superblocks fused and installed in the code cache *)
-  cov : (int, cov_entry) Hashtbl.t;
+  cov : cov_table;
       (** translation-quality observatory: always-on per-attribution
           retirement counts and host-insn costs, keyed by the packed
           [Cnt_guest_insn] payload *)
   mutable cov_pending : int;
       (** attribution currently accruing host-insn cost; [-1] before
           the first retirement *)
+  mutable cov_pending_slot : int;  (** its slot in [cov] (internal) *)
   mutable cov_mark : int;  (** [host_insns] at the last retirement *)
-  mutable cov_last_attr : int;  (** internal lookup-cache key *)
-  mutable cov_last : cov_entry option;  (** internal lookup cache *)
 }
 
 val create : unit -> t
 val reset : t -> unit
+val tag_index : Insn.tag -> int
+(** Position of a tag in {!Insn.all_tags}: its [by_tag] slot. *)
+
 val charge_tag : t -> Insn.tag -> int -> unit
 (** Add [n] host instructions under a tag (and to the total). *)
 
 val tag_count : t -> Insn.tag -> int
 
 val retire : t -> int -> unit
-(** Retire one guest instruction under a packed attribution word: the
+(** Retire one guest instruction under a packed (non-negative)
+    attribution word: the
     host-insn cost accrued since the previous retirement is charged to
     the previous attribution, then the retirement is counted under the
     new one. Increments [guest_insns] — this is its only increment

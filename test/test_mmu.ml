@@ -51,26 +51,26 @@ let test_tlb_fill_lookup_flush () =
   let tlb = Array.make Mmu.Tlb.words 0 in
   Mmu.Tlb.flush tlb;
   let entry = { Mmu.page_pa = 0x7000; writable = false; user = true } in
-  Alcotest.(check (option int)) "miss before fill" None
-    (Mmu.Tlb.lookup tlb ~privileged:false ~write:false 0x3456);
+  Alcotest.(check int) "miss before fill" (-1)
+    (Mmu.Tlb.probe tlb ~privileged:false ~write:false 0x3456);
   Mmu.Tlb.fill tlb ~privileged:false ~vaddr:0x3456 entry;
-  Alcotest.(check (option int)) "read hit" (Some 0x7456)
-    (Mmu.Tlb.lookup tlb ~privileged:false ~write:false 0x3456);
-  Alcotest.(check (option int)) "write miss (read-only)" None
-    (Mmu.Tlb.lookup tlb ~privileged:false ~write:true 0x3456);
-  Alcotest.(check (option int)) "other bank misses" None
-    (Mmu.Tlb.lookup tlb ~privileged:true ~write:false 0x3456);
+  Alcotest.(check int) "read hit" 0x7456
+    (Mmu.Tlb.probe tlb ~privileged:false ~write:false 0x3456);
+  Alcotest.(check int) "write miss (read-only)" (-1)
+    (Mmu.Tlb.probe tlb ~privileged:false ~write:true 0x3456);
+  Alcotest.(check int) "other bank misses" (-1)
+    (Mmu.Tlb.probe tlb ~privileged:true ~write:false 0x3456);
   Mmu.Tlb.flush tlb;
-  Alcotest.(check (option int)) "flushed" None
-    (Mmu.Tlb.lookup tlb ~privileged:false ~write:false 0x3456)
+  Alcotest.(check int) "flushed" (-1)
+    (Mmu.Tlb.probe tlb ~privileged:false ~write:false 0x3456)
 
 let test_tlb_non_user_page_not_filled_in_user_bank () =
   let tlb = Array.make Mmu.Tlb.words 0 in
   Mmu.Tlb.flush tlb;
   let entry = { Mmu.page_pa = 0x9000; writable = true; user = false } in
   Mmu.Tlb.fill tlb ~privileged:false ~vaddr:0x1000 entry;
-  Alcotest.(check (option int)) "kernel page never user-visible" None
-    (Mmu.Tlb.lookup tlb ~privileged:false ~write:false 0x1000)
+  Alcotest.(check int) "kernel page never user-visible" (-1)
+    (Mmu.Tlb.probe tlb ~privileged:false ~write:false 0x1000)
 
 let test_tlb_conflict_eviction () =
   let tlb = Array.make Mmu.Tlb.words 0 in
@@ -81,11 +81,11 @@ let test_tlb_conflict_eviction () =
   let conflict = 0x1000 + (Mmu.Tlb.entries * 4096) in
   Mmu.Tlb.fill tlb ~privileged:true ~vaddr:0x1000 e1;
   Mmu.Tlb.fill tlb ~privileged:true ~vaddr:conflict e2;
-  Alcotest.(check (option int)) "old entry evicted" None
-    (Mmu.Tlb.lookup tlb ~privileged:true ~write:false 0x1000);
-  Alcotest.(check (option int)) "new entry hits"
-    (Some (0x20000 lor 0))
-    (Mmu.Tlb.lookup tlb ~privileged:true ~write:false conflict)
+  Alcotest.(check int) "old entry evicted" (-1)
+    (Mmu.Tlb.probe tlb ~privileged:true ~write:false 0x1000);
+  Alcotest.(check int) "new entry hits"
+    (0x20000 lor 0)
+    (Mmu.Tlb.probe tlb ~privileged:true ~write:false conflict)
 
 let suite =
   [

@@ -75,6 +75,20 @@ let test_trivial_halt () =
   Alcotest.(check bool) "executed a few guest insns" true
     ((T.Runtime.stats rt).Stats.guest_insns >= 3)
 
+(* An unbounded reference run must still run: [max_int] steps once
+   overflowed the iteration guard and stopped after 0 steps. *)
+let test_ref_unbounded () =
+  let _, words =
+    assemble (fun a ->
+        Asm.mov a 0 10;
+        Asm.mov a 11 0)
+  in
+  match run_ref ~max_steps:max_int words with
+  | _, T.Ref_machine.Halted _, steps ->
+    Alcotest.(check bool) "retired the program" true (steps >= 4)
+  | _, (T.Ref_machine.Step_limit | T.Ref_machine.Decode_error _), _ ->
+    Alcotest.fail "max_int steps must run the image to its halt"
+
 let test_arith_differential () =
   ignore
     (differential (fun a ->
@@ -350,6 +364,7 @@ let suite =
     ( "tcg.engine",
       [
         Alcotest.test_case "trivial halt" `Quick test_trivial_halt;
+        Alcotest.test_case "reference runs with max_int steps" `Quick test_ref_unbounded;
         Alcotest.test_case "arithmetic differential" `Quick test_arith_differential;
         Alcotest.test_case "conditional differential" `Quick test_conditional_differential;
         Alcotest.test_case "loop differential" `Quick test_loop_differential;
