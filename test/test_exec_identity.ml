@@ -173,7 +173,7 @@ let test_checks_stay_at_run_time () =
 
 let suite =
   [
-    ( "x86.exec-identity",
+    ( "x86.exec.ident",
       [
         Alcotest.test_case "generated corpus matches golden digests" `Quick test_golden;
         Alcotest.test_case "corpus covers every shape" `Quick test_coverage;
