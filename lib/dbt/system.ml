@@ -80,19 +80,25 @@ type region_record = {
   rg_meta : (bool array * Flagconv.t option) option;
 }
 
-(* Warm-boot bookkeeping for recipes loaded from a persistent depot.
+(* A decoded cache section — what replay re-creates host code from.
    Indices 0..n-1 are plain records, n.. the superblock recipes (the
-   same combined index space the chain graph uses). A recipe is
-   [installed] once it has been replayed into the live cache for the
-   current cache generation, [dead] once it can never install in this
-   generation (quarantined, or its guest bytes never matched), and
-   pending otherwise — pending recipes are retried in waves, each
-   triggered by the first cache miss on one of them. *)
+   combined index space the chain graph uses). *)
+type recipes = {
+  records : tb_record array;
+  links : int array array;
+  regions : region_record array;
+  region_links : int array array;
+}
+
+(* Warm-boot bookkeeping for recipes loaded from a persistent depot,
+   indexed like [recipes]. A recipe is [installed] once it has been
+   replayed into the live cache for the current cache generation,
+   [dead] once it can never install in this generation (quarantined,
+   or its guest bytes never matched), and pending otherwise — pending
+   recipes are retried in waves, each triggered by the first cache
+   miss on one of them. *)
 type depot_state = {
-  dp_records : tb_record array;
-  dp_links : int array array;
-  dp_regions : region_record array;
-  dp_region_links : int array array;
+  dp_recipes : recipes;
   dp_srcsum : int array;  (* per plain record, install fidelity guard *)
   dp_keys : (int * bool * bool, int) Hashtbl.t;
       (* (pc, privileged, mmu_on) -> plain record index *)
@@ -372,7 +378,10 @@ let decode_cache payload =
   let region_links = dec_links m in
   if not (Snapshot.Dec.finished d) then
     raise (Snapshot.Corrupt "cache: trailing bytes");
-  (records, links, regions, region_links)
+  let in_range = Array.for_all (Array.for_all (fun s -> s >= -1 && s < n + m)) in
+  if not (in_range links && in_range region_links) then
+    raise (Snapshot.Corrupt "cache: link to a nonexistent record");
+  { records; links; regions; region_links }
 
 let encode_translator tr rs =
   let saved = Translator_rule.save_state tr in
@@ -480,11 +489,6 @@ let capture ?resume t =
 let snapshot t =
   match t.stop_checkpoint with Some s -> s | None -> capture t
 
-(* ---- restore ---- *)
-
-(* Demotion-state merge policy: health only ever ratchets down.
-   Blacklists and quarantine sets take the union, per-rule strikes the
-   maximum — shared by snapshot restore and depot install. *)
 let union_int l1 l2 = List.sort_uniq compare (l1 @ l2)
 
 let max_strikes a b =
@@ -497,17 +501,51 @@ let max_strikes a b =
     (a @ b);
   Hashtbl.fold (fun id n acc -> (id, n) :: acc) tbl [] |> List.sort compare
 
-(* Re-translate the captured live set in id order under each record's
-   recorded context (privilege, MMU, SMC length override, injected
-   corruption), re-fuse the captured superblocks from their recorded
-   constituent traces, then re-apply the captured link-time meta and
-   chain graph. The mirror CPU is temporarily forced to each record's
-   translation regime and put back afterwards. *)
-let rebuild_cache t records links regions region_links =
+(* Demotion-state merge policy, shared by snapshot restore and depot
+   install: health only ever ratchets down. Blacklists and quarantine
+   sets take the union, per-rule strikes the maximum; [incoming]
+   supplies every other translator field. Returns what was installed. *)
+let ratchet_health tr rs (incoming : Translator_rule.saved) ~strikes ~quarantined =
+  let cur = Translator_rule.save_state tr in
+  let cur_strikes, cur_quarantined = Ruleset.export_health rs in
+  let merged =
+    {
+      incoming with
+      Translator_rule.s_blacklist =
+        union_int incoming.Translator_rule.s_blacklist
+          cur.Translator_rule.s_blacklist;
+    }
+  in
+  Translator_rule.restore_state tr merged;
+  Ruleset.restore_health rs
+    ~strikes:(max_strikes strikes cur_strikes)
+    ~quarantined:(union_int quarantined cur_quarantined);
+  merged
+
+(* ---- recipe replay ---- *)
+
+(* The one way back from recorded recipes to live host code, shared by
+   snapshot restore (every record at once, under its recorded id) and
+   the depot's install waves. Each pending record — [installed] empty
+   and not [dead] — adopts the TB already cached under its key, or
+   re-translates under its recorded regime (privilege, MMU, SMC length
+   override, injected corruption) and installs when [accept] approves
+   the result. Freshly translated recipes get their captured link-time
+   meta back; adopted TBs evolve their own through the live link hook.
+   Superblocks whose members all installed then re-fuse from their
+   recorded traces: the fused emission reads only the constituents'
+   scheduled bodies, so after its own meta is re-applied the region is
+   bit-identical to the captured one. A superblock the live engine
+   already fused over the head, or one the emitter now rejects, is
+   [dead]. Last, the captured chain graph fills empty link slots
+   between installed TBs; links the live engine made stand. The CPU is
+   left in the last record's regime — callers put it back. Returns the
+   fresh TBs. *)
+let replay t rc ~pin_ids ~accept ~installed ~dead =
   let rt = t.rt in
-  (* The rebuild re-runs every captured translation; letting those
-     re-translations record static provenance again would double-count
-     in the coordination ledger, so it is detached for the duration. *)
+  (* Every replayed translation was counted when first made: letting it
+     record static provenance again would double-count in the
+     coordination ledger and covscope's static sink. *)
   let saved_ledger, saved_cov_static =
     match t.rule_translator with
     | Some tr ->
@@ -526,94 +564,97 @@ let rebuild_cache t records links regions region_links =
         Translator_rule.set_cov_static tr saved_cov_static
       | None -> ())
   @@ fun () ->
-  let saved_cpu = Cpu.save_words rt.Runtime.cpu in
   let translate =
     match t.rule_translator with
     | Some tr -> fun rt cache ~pc -> Translator_rule.translate tr rt cache ~pc
     | None -> Repro_tcg.Translator_qemu.translate
   in
-  Tb.Cache.flush t.cache;
-  let tbs =
-    Array.map
-      (fun r ->
-        Cpu.set_mode rt.Runtime.cpu (if r.r_priv then Cpu.Supervisor else Cpu.User);
-        Cpu.set_mmu_enabled rt.Runtime.cpu r.r_mmu;
-        rt.Runtime.tb_override <- r.r_override;
-        rt.Runtime.corrupt_override <- Some r.r_injected;
-        Tb.Cache.set_ids t.cache (r.r_id - 1);
-        match translate rt t.cache ~pc:r.r_pc with
-        | Ok tb ->
-          tb.Tb.hot <- r.r_hot;
-          Tb.Cache.add_exact t.cache tb;
-          Tlb.clear_write_tag rt.Runtime.ctx.Runtime.Exec.tlb tb.Tb.guest_pc;
-          Tlb.clear_write_tag rt.Runtime.ctx.Runtime.Exec.tlb
-            (tb.Tb.guest_pc + (4 * tb.Tb.guest_len) - 4);
-          tb
-        | Error _ ->
-          raise
-            (Snapshot.Corrupt
-               (Printf.sprintf "cache rebuild: TB at %#x is no longer translatable"
-                  r.r_pc)))
-      records
-  in
+  let pin id = if pin_ids then Tb.Cache.set_ids t.cache (id - 1) in
+  let n = Array.length rc.records in
+  let fresh = Array.make (Array.length installed) false in
+  Array.iteri
+    (fun i r ->
+      if Option.is_none installed.(i) && not dead.(i) then
+        match
+          Tb.Cache.find_plain t.cache ~pc:r.r_pc ~privileged:r.r_priv
+            ~mmu_on:r.r_mmu
+        with
+        | Some tb -> installed.(i) <- Some tb
+        | None -> (
+          Cpu.set_mode rt.Runtime.cpu
+            (if r.r_priv then Cpu.Supervisor else Cpu.User);
+          Cpu.set_mmu_enabled rt.Runtime.cpu r.r_mmu;
+          rt.Runtime.tb_override <- r.r_override;
+          rt.Runtime.corrupt_override <- Some r.r_injected;
+          pin r.r_id;
+          match translate rt t.cache ~pc:r.r_pc with
+          | Ok tb when accept i tb ->
+            tb.Tb.hot <- r.r_hot;
+            Tb.Cache.add_exact t.cache tb;
+            installed.(i) <- Some tb;
+            fresh.(i) <- true
+          | Ok _ | Error _ -> ()))
+    rc.records;
   rt.Runtime.tb_override <- None;
   rt.Runtime.corrupt_override <- None;
-  Cpu.load_words rt.Runtime.cpu saved_cpu;
   (match t.rule_translator with
+  | None -> ()
   | Some tr ->
+    let restore_meta tb = function
+      | Some (elide, entry_conv) ->
+        Translator_rule.restore_cache_meta tr tb ~elide ~entry_conv
+      | None -> ()
+    in
     Array.iteri
-      (fun i r ->
-        match r.r_meta with
-        | Some (elide, entry_conv) ->
-          Translator_rule.restore_cache_meta tr tbs.(i) ~elide ~entry_conv
-        | None -> ())
-      records
-  | None -> ());
-  (* Superblocks re-fuse from their recorded constituent traces after
-     the constituents carry their captured meta — the fused emission
-     reads only the constituents' scheduled bodies, so the rebuilt
-     region prog (after its own meta is re-applied) is bit-identical
-     to the captured one. *)
-  let region_tbs =
-    Array.map
-      (fun rg ->
-        match t.rule_translator with
-        | None ->
-          raise (Snapshot.Corrupt "cache: region records in a qemu-mode snapshot")
-        | Some tr -> (
-          Tb.Cache.set_ids t.cache (rg.rg_id - 1);
-          let trace = Array.to_list (Array.map (fun i -> tbs.(i)) rg.rg_members) in
-          match Translator_rule.fuse_trace tr rt t.cache ~trace with
-          | Some region ->
-            region.Tb.hot <- rg.rg_hot;
-            (match rg.rg_meta with
-            | Some (elide, entry_conv) ->
-              Translator_rule.restore_cache_meta tr region ~elide ~entry_conv
-            | None -> ());
-            region
-          | None ->
-            raise
-              (Snapshot.Corrupt
-                 (Printf.sprintf "cache rebuild: region %d is no longer fusable"
-                    rg.rg_id))))
-      regions
-  in
-  let all = Array.append tbs region_tbs in
-  let apply_links owner link_table =
+      (fun i r -> if fresh.(i) then restore_meta (Option.get installed.(i)) r.r_meta)
+      rc.records;
+    Array.iteri
+      (fun j rg ->
+        let k = n + j in
+        if Option.is_none installed.(k) && not dead.(k) then begin
+          let members = Array.map (fun i -> installed.(i)) rg.rg_members in
+          if Array.for_all Option.is_some members then begin
+            let head = rc.records.(rg.rg_members.(0)) in
+            match
+              Tb.Cache.find t.cache ~pc:head.r_pc ~privileged:head.r_priv
+                ~mmu_on:head.r_mmu
+            with
+            | Some tb when Tb.is_region tb -> dead.(k) <- true
+            | _ -> (
+              pin rg.rg_id;
+              let trace = Array.to_list (Array.map Option.get members) in
+              match Translator_rule.fuse_trace tr rt t.cache ~trace with
+              | Some region ->
+                region.Tb.hot <- rg.rg_hot;
+                restore_meta region rg.rg_meta;
+                installed.(k) <- Some region;
+                fresh.(k) <- true
+              | None -> dead.(k) <- true)
+          end
+        end)
+      rc.regions);
+  let fill_links base table =
     Array.iteri
       (fun i slots ->
-        Array.iteri
-          (fun slot succ ->
-            if succ >= 0 then begin
-              if succ >= Array.length all then
-                raise (Snapshot.Corrupt "cache: link to a nonexistent record");
-              owner.(i).Tb.links.(slot) <- Some all.(succ)
-            end)
-          slots)
-      link_table
+        match installed.(base + i) with
+        | None -> ()
+        | Some tb ->
+          Array.iteri
+            (fun slot succ ->
+              if succ >= 0 && slot < Array.length tb.Tb.links then
+                match (tb.Tb.links.(slot), installed.(succ)) with
+                | None, Some s -> tb.Tb.links.(slot) <- Some s
+                | _ -> ())
+            slots)
+      table
   in
-  apply_links tbs links;
-  apply_links region_tbs region_links
+  fill_links 0 rc.links;
+  fill_links n rc.region_links;
+  Array.to_seqi fresh
+  |> Seq.filter_map (fun (k, f) -> if f then installed.(k) else None)
+  |> List.of_seq
+
+(* ---- restore ---- *)
 
 let restore ?(rebuild = true) t snap =
   (match t.rt.Runtime.trace with
@@ -650,21 +691,7 @@ let restore ?(rebuild = true) t snap =
     match (t.rule_translator, t.ruleset, Snapshot.find_opt snap "translator") with
     | Some tr, Some rs, Some payload ->
       let saved, strikes, quarantined = decode_translator payload in
-      let cur = Translator_rule.save_state tr in
-      let cur_strikes, cur_quarantined = Ruleset.export_health rs in
-      let merged =
-        {
-          saved with
-          Translator_rule.s_blacklist =
-            union_int saved.Translator_rule.s_blacklist
-              cur.Translator_rule.s_blacklist;
-        }
-      in
-      Translator_rule.restore_state tr merged;
-      Ruleset.restore_health rs
-        ~strikes:(max_strikes strikes cur_strikes)
-        ~quarantined:(union_int quarantined cur_quarantined);
-      Some merged
+      Some (ratchet_health tr rs saved ~strikes ~quarantined)
     | None, _, None -> None
     | Some _, _, None -> raise (Snapshot.Corrupt "missing section translator")
     | _ -> raise (Snapshot.Corrupt "translator section in a qemu-mode snapshot")
@@ -684,13 +711,39 @@ let restore ?(rebuild = true) t snap =
      TBs and the engine that will execute them disagree on host-state
      conventions — so a demoted machine flushes instead and lets the
      degraded engine retranslate on demand, which is guest-invariant. *)
+  Tb.Cache.flush t.cache;
   if rebuild && t.rung_floor = natural_rung t then begin
-    let records, links, regions, region_links =
-      decode_cache (Snapshot.find snap "cache")
-    in
-    rebuild_cache t records links regions region_links
-  end
-  else Tb.Cache.flush t.cache;
+    let rc = decode_cache (Snapshot.find snap "cache") in
+    let n = Array.length rc.records and m = Array.length rc.regions in
+    if m > 0 && t.rule_translator = None then
+      raise (Snapshot.Corrupt "cache: region records in a qemu-mode snapshot");
+    (* The whole captured set replays at once under its recorded ids;
+       none of it may be missing. The TLB write-protection of the code
+       pages comes back with the "tlb" section below. *)
+    let installed = Array.make (n + m) None in
+    let cpu = Cpu.save_words t.rt.Runtime.cpu in
+    ignore
+      (replay t rc ~pin_ids:true
+         ~accept:(fun _ _ -> true)
+         ~installed ~dead:(Array.make (n + m) false));
+    Cpu.load_words t.rt.Runtime.cpu cpu;
+    Array.iteri
+      (fun i r ->
+        if Option.is_none installed.(i) then
+          raise
+            (Snapshot.Corrupt
+               (Printf.sprintf "cache rebuild: TB at %#x is no longer translatable"
+                  r.r_pc)))
+      rc.records;
+    Array.iteri
+      (fun j rg ->
+        if Option.is_none installed.(n + j) then
+          raise
+            (Snapshot.Corrupt
+               (Printf.sprintf "cache rebuild: region %d is no longer fusable"
+                  rg.rg_id)))
+      rc.regions
+  end;
   (* Counters go in verbatim last: the rebuild itself translates (and
      may walk page tables), which perturbs stats, translator counters
      and potentially TLB/injector state. *)
@@ -807,6 +860,25 @@ let decode_depot_health payload =
     raise (Snapshot.Corrupt "health: trailing bytes");
   (blacklist, strikes, quarantined)
 
+(* A payload that fails to decode is a [Depot_error] naming its section. *)
+let in_section section f =
+  try f () with
+  | Snapshot.Corrupt reason | Invalid_argument reason ->
+    depot_err section "%s" reason
+
+let depot_health depot =
+  in_section "health" (fun () -> decode_depot_health (Depot.health depot))
+
+(* Decode and cross-check the engine-level payloads — the one input
+   check behind both install and the machine-free verification. *)
+let decode_depot depot =
+  let rc = in_section "cache" (fun () -> decode_cache (Depot.cache_payload depot)) in
+  let srcsum = Depot.srcsum depot in
+  if Array.length srcsum <> Array.length rc.records then
+    depot_err "srcsum" "%d checksums for %d recipes" (Array.length srcsum)
+      (Array.length rc.records);
+  (rc, srcsum, depot_health depot)
+
 let depot_compat t =
   {
     Depot.c_mode = mode_name t.mode;
@@ -839,19 +911,19 @@ let depot_capture t =
   Depot.create ~compat:(depot_compat t) ~rules ~cache:(encode_cache t)
     ~srcsum:(cache_srcsums t) ~health
 
-(* One install wave: re-translate every still-pending recipe against
-   guest memory as it stands right now, keeping whatever matches its
-   recorded checksum. The pass is machine-neutral — CPU, env, RAM,
+(* One install wave: replay every still-pending recipe against guest
+   memory as it stands right now, keeping whatever matches its
+   recorded checksum. The wave is machine-neutral — CPU, env, RAM,
    TLB, devices, injector PRNG and statistics round-trip through a
    scratch capture, the engine-transient runtime fields are put back
    by hand (restore_machine resets them to between-TB defaults, which
-   is wrong for a pass spliced into a live engine), the translator's
-   counters are pinned back and its ledger detached — so a warm run's
+   is wrong for a wave spliced into a live engine), and the
+   translator's counters are pinned back — so a warm run's
    guest-visible behaviour is the cold run's. Recipes whose guest
    bytes do not match stay pending: the guest has not built that world
    yet (page tables before the MMU turns on, code it relocates later);
    the first miss in the new regime triggers the next wave. *)
-let depot_pass t dp =
+let depot_wave t dp =
   let rt = t.rt in
   let gen = Tb.Cache.generation t.cache in
   if dp.dp_generation <> gen then begin
@@ -861,18 +933,6 @@ let depot_pass t dp =
     dp.dp_installed_count <- 0;
     dp.dp_generation <- gen
   end;
-  let n = Array.length dp.dp_records in
-  let fresh = ref [] in
-  let saved_ledger, saved_cov_static =
-    match t.rule_translator with
-    | Some tr ->
-      let l = Translator_rule.ledger tr in
-      let cs = Translator_rule.cov_static tr in
-      Translator_rule.set_ledger tr None;
-      Translator_rule.set_cov_static tr None;
-      (l, cs)
-    | None -> (None, None)
-  in
   let saved_tr = Option.map Translator_rule.save_state t.rule_translator in
   let scratch = Snapshot.create () in
   Snapshot.capture_machine rt scratch;
@@ -881,6 +941,7 @@ let depot_pass t dp =
   and tbov = rt.Runtime.tb_override
   and cov = rt.Runtime.corrupt_override
   and fps = rt.Runtime.fault_producers in
+  let first_id = Tb.Cache.ids t.cache in
   Fun.protect
     ~finally:(fun () ->
       Snapshot.restore_machine rt scratch;
@@ -890,126 +951,30 @@ let depot_pass t dp =
       rt.Runtime.corrupt_override <- cov;
       rt.Runtime.fault_producers <- fps;
       (match (t.rule_translator, saved_tr) with
-      | Some tr, Some s ->
-        Translator_rule.restore_counters tr s;
-        Translator_rule.set_ledger tr saved_ledger;
-        Translator_rule.set_cov_static tr saved_cov_static
+      | Some tr, Some s -> Translator_rule.restore_counters tr s
       | _ -> ());
-      (* write-protect what stuck, exactly as cold translation would *)
-      List.iter
-        (fun (tb : Tb.t) ->
-          if not (Tb.is_region tb) then begin
+      (* write-protect what this wave translated, exactly as cold
+         translation would — found by id, so a wave that failed part
+         way leaves no unprotected TB behind either *)
+      Array.iter
+        (function
+          | Some (tb : Tb.t) when tb.Tb.id > first_id && not (Tb.is_region tb) ->
             Tlb.clear_write_tag rt.Runtime.ctx.Runtime.Exec.tlb tb.Tb.guest_pc;
             Tlb.clear_write_tag rt.Runtime.ctx.Runtime.Exec.tlb
               (tb.Tb.guest_pc + (4 * tb.Tb.guest_len) - 4)
-          end)
-        !fresh)
+          | _ -> ())
+        dp.dp_installed)
   @@ fun () ->
-  let translate =
-    match t.rule_translator with
-    | Some tr -> fun rt cache ~pc -> Translator_rule.translate tr rt cache ~pc
-    | None -> Repro_tcg.Translator_qemu.translate
+  let fresh =
+    replay t dp.dp_recipes ~pin_ids:false
+      ~accept:(fun i tb -> guest_checksum tb = dp.dp_srcsum.(i))
+      ~installed:dp.dp_installed ~dead:dp.dp_dead
   in
-  Array.iteri
-    (fun i r ->
-      if Option.is_none dp.dp_installed.(i) && not dp.dp_dead.(i) then
-        match
-          Tb.Cache.find_plain t.cache ~pc:r.r_pc ~privileged:r.r_priv
-            ~mmu_on:r.r_mmu
-        with
-        | Some tb ->
-          (* the engine already translated this PC cold; adopt it so
-             regions and links over it can still install *)
-          dp.dp_installed.(i) <- Some tb;
-          dp.dp_installed_count <- dp.dp_installed_count + 1
-        | None -> (
-          Cpu.set_mode rt.Runtime.cpu
-            (if r.r_priv then Cpu.Supervisor else Cpu.User);
-          Cpu.set_mmu_enabled rt.Runtime.cpu r.r_mmu;
-          rt.Runtime.tb_override <- r.r_override;
-          rt.Runtime.corrupt_override <- Some r.r_injected;
-          match translate rt t.cache ~pc:r.r_pc with
-          | Ok tb when guest_checksum tb = dp.dp_srcsum.(i) ->
-            tb.Tb.hot <- r.r_hot;
-            Tb.Cache.add_exact t.cache tb;
-            dp.dp_installed.(i) <- Some tb;
-            dp.dp_installed_count <- dp.dp_installed_count + 1;
-            Hashtbl.replace dp.dp_pcs r.r_pc ();
-            fresh := tb :: !fresh
-          | Ok _ | Error _ -> ()))
-    dp.dp_records;
-  rt.Runtime.tb_override <- None;
-  rt.Runtime.corrupt_override <- None;
-  (* captured link-time meta, for freshly installed recipes only —
-     adopted TBs evolve their own meta through the live link hook *)
-  (match t.rule_translator with
-  | Some tr ->
-    Array.iteri
-      (fun i r ->
-        match (dp.dp_installed.(i), r.r_meta) with
-        | Some tb, Some (elide, entry_conv) when List.memq tb !fresh ->
-          Translator_rule.restore_cache_meta tr tb ~elide ~entry_conv
-        | _ -> ())
-      dp.dp_records
-  | None -> ());
-  (* superblocks whose constituents all made it *)
-  (match t.rule_translator with
-  | None -> ()
-  | Some tr ->
-    Array.iteri
-      (fun j rg ->
-        let k = n + j in
-        if Option.is_none dp.dp_installed.(k) && not dp.dp_dead.(k) then begin
-          let members = Array.map (fun i -> dp.dp_installed.(i)) rg.rg_members in
-          if Array.for_all Option.is_some members then begin
-            let head = dp.dp_records.(rg.rg_members.(0)) in
-            match
-              Tb.Cache.find t.cache ~pc:head.r_pc ~privileged:head.r_priv
-                ~mmu_on:head.r_mmu
-            with
-            | Some tb when Tb.is_region tb ->
-              (* the live engine fused its own superblock here first *)
-              dp.dp_dead.(k) <- true
-            | _ -> (
-              let trace = Array.to_list (Array.map Option.get members) in
-              match Translator_rule.fuse_trace tr rt t.cache ~trace with
-              | Some region ->
-                region.Tb.hot <- rg.rg_hot;
-                (match rg.rg_meta with
-                | Some (elide, entry_conv) ->
-                  Translator_rule.restore_cache_meta tr region ~elide
-                    ~entry_conv
-                | None -> ());
-                dp.dp_installed.(k) <- Some region;
-                dp.dp_installed_count <- dp.dp_installed_count + 1;
-                Hashtbl.replace dp.dp_pcs region.Tb.guest_pc ()
-              | None -> dp.dp_dead.(k) <- true)
-          end
-        end)
-      dp.dp_regions);
-  (* the captured chain graph, filling only empty slots between
-     depot-tracked TBs — links the live engine already made stand *)
-  let apply_links base table =
-    Array.iteri
-      (fun i slots ->
-        match dp.dp_installed.(base + i) with
-        | None -> ()
-        | Some tb ->
-          Array.iteri
-            (fun slot succ ->
-              if
-                succ >= 0
-                && succ < Array.length dp.dp_installed
-                && slot < Array.length tb.Tb.links
-              then
-                match (tb.Tb.links.(slot), dp.dp_installed.(succ)) with
-                | None, Some s -> tb.Tb.links.(slot) <- Some s
-                | _ -> ())
-            slots)
-      table
-  in
-  apply_links 0 dp.dp_links;
-  apply_links n dp.dp_region_links
+  List.iter (fun (tb : Tb.t) -> Hashtbl.replace dp.dp_pcs tb.Tb.guest_pc ()) fresh;
+  dp.dp_installed_count <-
+    Array.fold_left
+      (fun c tb -> if Option.is_some tb then c + 1 else c)
+      0 dp.dp_installed
 
 let depot_install t depot =
   let c = Depot.compat depot in
@@ -1031,40 +996,21 @@ let depot_install t depot =
       "machine floor is the %s rung; depot recipes are translated for its \
        natural %s engine"
       (rung_name t.rung_floor) (rung_name natural);
-  let records, links, regions, region_links =
-    try decode_cache (Depot.cache_payload depot) with
-    | Snapshot.Corrupt reason -> depot_err "cache" "%s" reason
-    | Invalid_argument reason -> depot_err "cache" "%s" reason
-  in
-  let srcsum = Depot.srcsum depot in
-  if Array.length srcsum <> Array.length records then
-    depot_err "srcsum" "%d checksums for %d recipes" (Array.length srcsum)
-      (Array.length records);
+  let rc, srcsum, (blacklist, strikes, quarantined) = decode_depot depot in
+  let records = rc.records and regions = rc.regions in
   if Array.length regions > 0 && t.rule_translator = None then
     depot_err "cache" "superblock recipes in a qemu-mode depot";
-  let blacklist, strikes, quarantined =
-    try decode_depot_health (Depot.health depot) with
-    | Snapshot.Corrupt reason -> depot_err "health" "%s" reason
-    | Invalid_argument reason -> depot_err "health" "%s" reason
-  in
   (* The depot's durable demotions ratchet in before any recipe is
-     replayed (union/max merge, the same policy snapshot restore
-     uses); the flush keeps no TB translated under the pre-merge
-     health alive. *)
+     replayed (the same merge snapshot restore uses); the flush keeps
+     no TB translated under the pre-merge health alive. *)
   Tb.Cache.flush t.cache;
   (match (t.rule_translator, t.ruleset) with
   | Some tr, Some rs ->
     let cur = Translator_rule.save_state tr in
-    let cur_strikes, cur_quarantined = Ruleset.export_health rs in
-    Translator_rule.restore_state tr
-      {
-        cur with
-        Translator_rule.s_blacklist =
-          union_int cur.Translator_rule.s_blacklist blacklist;
-      };
-    Ruleset.restore_health rs
-      ~strikes:(max_strikes strikes cur_strikes)
-      ~quarantined:(union_int quarantined cur_quarantined)
+    ignore
+      (ratchet_health tr rs
+         { cur with Translator_rule.s_blacklist = blacklist }
+         ~strikes ~quarantined)
   | _ -> ());
   let n = Array.length records and m = Array.length regions in
   let qpcs = Hashtbl.create 8 in
@@ -1085,10 +1031,7 @@ let depot_install t depot =
     records;
   let dp =
     {
-      dp_records = records;
-      dp_links = links;
-      dp_regions = regions;
-      dp_region_links = region_links;
+      dp_recipes = rc;
       dp_srcsum = srcsum;
       dp_keys = keys;
       dp_skip = skip;
@@ -1104,7 +1047,7 @@ let depot_install t depot =
   (* Wave 1 installs whatever current guest memory supports — at a
      cold boot, the MMU-off recipes. The rest stays pending for
      miss-triggered waves once the guest builds those worlds. *)
-  (try depot_pass t dp with
+  (try depot_wave t dp with
   | Snapshot.Corrupt reason | Invalid_argument reason ->
     t.depot <- None;
     depot_err "cache" "recipe replay failed: %s" reason);
@@ -1132,7 +1075,7 @@ let depot_hit t ~pc =
       if (not stale) && (Option.is_some dp.dp_installed.(i) || dp.dp_dead.(i))
       then None
       else begin
-        (match depot_pass t dp with
+        (match depot_wave t dp with
         | () -> ()
         | exception (Snapshot.Corrupt _ | Invalid_argument _ | Not_found) ->
           t.depot <- None);
@@ -1164,28 +1107,13 @@ let depot_poisoned t =
 (* Structural verification without a machine: decode every engine-level
    payload the way install would. Returns (plain recipes, superblocks). *)
 let depot_check depot =
-  let records, _, regions, _ =
-    try decode_cache (Depot.cache_payload depot) with
-    | Snapshot.Corrupt reason -> depot_err "cache" "%s" reason
-    | Invalid_argument reason -> depot_err "cache" "%s" reason
-  in
-  if Array.length (Depot.srcsum depot) <> Array.length records then
-    depot_err "srcsum" "%d checksums for %d recipes"
-      (Array.length (Depot.srcsum depot))
-      (Array.length records);
-  (try ignore (decode_depot_health (Depot.health depot)) with
-  | Snapshot.Corrupt reason -> depot_err "health" "%s" reason
-  | Invalid_argument reason -> depot_err "health" "%s" reason);
-  (Array.length records, Array.length regions)
+  let rc, _, _ = decode_depot depot in
+  (Array.length rc.records, Array.length rc.regions)
 
 (* Fleet write-back: fold breaker-quarantined rule ids into the depot's
    durable health. Returns true when the set grew (save warranted). *)
 let depot_quarantine_rules depot ids =
-  let blacklist, strikes, quarantined =
-    try decode_depot_health (Depot.health depot) with
-    | Snapshot.Corrupt reason -> depot_err "health" "%s" reason
-    | Invalid_argument reason -> depot_err "health" "%s" reason
-  in
+  let blacklist, strikes, quarantined = depot_health depot in
   let merged = union_int ids quarantined in
   if List.length merged = List.length quarantined then false
   else begin

@@ -240,7 +240,7 @@ let test_warm_boot_identity () =
 
 (* ---- compatibility: a foreign depot is refused, never misapplied --- *)
 
-let variant ?mode:m ?digest ?hot depot =
+let variant ?mode:m ?digest ?hot ?cache depot =
   let c = Depot.compat depot in
   let c =
     {
@@ -250,7 +250,8 @@ let variant ?mode:m ?digest ?hot depot =
     }
   in
   Depot.create ~compat:c ~rules:(Depot.rules depot)
-    ~cache:(Depot.cache_payload depot) ~srcsum:(Depot.srcsum depot)
+    ~cache:(Option.value cache ~default:(Depot.cache_payload depot))
+    ~srcsum:(Depot.srcsum depot)
     ~health:(Depot.health depot)
 
 let test_compat_rejection () =
@@ -360,6 +361,148 @@ let test_rule_writeback () =
   Alcotest.(check (pair int string)) "demoted warm boot still correct"
     cold_outcome (guest_outcome sys res)
 
+
+(* ---- one replay routine: restore and depot install agree ----------- *)
+
+(* A run stopped after superblocks exist, frozen both ways: as a
+   snapshot and as a depot of the same live cache. *)
+let partial_ctx =
+  lazy
+    (let image = kernel_image () in
+     let sys = make_sys mode image in
+     ignore (D.System.run ~max_guest_insns:25_000 ~checkpoint_every:4_000 sys);
+     let snap = Snapshot.to_string (D.System.snapshot sys) in
+     (image, snap, D.System.depot_capture sys))
+
+let cache_key (tb : T.Tb.t) =
+  (tb.T.Tb.guest_pc, tb.T.Tb.privileged, tb.T.Tb.mmu_on, T.Tb.is_region tb)
+
+let host_code sys =
+  let cache = sys.D.System.cache in
+  T.Tb.Cache.to_list cache @ T.Tb.Cache.regions_list cache
+  |> List.map (fun (tb : T.Tb.t) ->
+         ( cache_key tb,
+           ( Format.asprintf "%a" Repro_x86.Prog.pp tb.T.Tb.prog,
+             Array.map (Option.map cache_key) tb.T.Tb.links ) ))
+
+let test_replay_policies_agree () =
+  let _, frozen, depot = Lazy.force partial_ctx in
+  let restored = D.System.create mode in
+  D.System.restore restored (Snapshot.of_string frozen);
+  let installed = D.System.create mode in
+  D.System.restore ~rebuild:false installed (Snapshot.of_string frozen);
+  ignore (D.System.depot_install installed depot);
+  let a = host_code restored and b = host_code installed in
+  let shared =
+    List.filter_map
+      (fun (key, code_b) ->
+        Option.map (fun code_a -> (key, code_a, code_b)) (List.assoc_opt key a))
+      b
+  in
+  let regions = List.filter (fun ((_, _, _, r), _, _) -> r) shared in
+  Alcotest.(check bool)
+    (Printf.sprintf "both install TBs (%d shared) and superblocks (%d)"
+       (List.length shared) (List.length regions))
+    true
+    (List.length shared > 0 && regions <> []);
+  List.iter
+    (fun ((pc, _, _, region), (prog_a, links_a), (prog_b, links_b)) ->
+      let what = Printf.sprintf "%s at %#x" (if region then "region" else "TB") pc in
+      Alcotest.(check string) (what ^ ": same host code") prog_a prog_b;
+      Alcotest.(check bool) (what ^ ": same chain links") true (links_a = links_b))
+    shared
+
+(* ---- chain links are range-checked on decode, in both formats ------ *)
+
+(* Re-encode a cache section (the layout [System.encode_cache] writes)
+   with its first chain link pointing one past the last recipe. *)
+let with_link_out_of_range payload =
+  let d = Snapshot.Dec.of_string payload in
+  let toks = ref [] and count = ref 0 and first_link = ref (-1) in
+  let int () =
+    let v = Snapshot.Dec.int d in
+    toks := `I v :: !toks;
+    incr count;
+    v
+  in
+  let bool () =
+    let v = Snapshot.Dec.bool d in
+    toks := `B v :: !toks;
+    incr count;
+    v
+  in
+  let meta () =
+    if bool () then begin
+      for _ = 1 to int () do ignore (bool ()) done;
+      ignore (int ())
+    end
+  in
+  let links owners =
+    for _ = 1 to owners do
+      for _ = 1 to int () do
+        if int () >= 0 && !first_link < 0 then first_link := !count - 1
+      done
+    done
+  in
+  let n = int () in
+  for _ = 1 to n do
+    (* id, pc, privileged, mmu_on, override, injection, hot, meta *)
+    ignore (int ());
+    ignore (int ());
+    ignore (bool ());
+    ignore (bool ());
+    ignore (int ());
+    ignore (int ());
+    ignore (int ());
+    meta ()
+  done;
+  links n;
+  let m = int () in
+  for _ = 1 to m do
+    (* id, hot, members, meta *)
+    ignore (int ());
+    ignore (int ());
+    for _ = 1 to int () do ignore (int ()) done;
+    meta ()
+  done;
+  links m;
+  Alcotest.(check bool) "the cache section has a chain link" true (!first_link >= 0);
+  let b = Snapshot.Enc.create () in
+  List.iteri
+    (fun k tok ->
+      match tok with
+      | `I _ when k = !first_link -> Snapshot.Enc.int b (n + m)
+      | `I v -> Snapshot.Enc.int b v
+      | `B v -> Snapshot.Enc.bool b v)
+    (List.rev !toks);
+  Snapshot.Enc.contents b
+
+let test_link_range_checked () =
+  let image, frozen, depot = Lazy.force partial_ctx in
+  let snap = Snapshot.of_string frozen in
+  let bad = with_link_out_of_range (Snapshot.find snap "cache") in
+  let damaged = Snapshot.create () in
+  List.iter
+    (fun name ->
+      Snapshot.add damaged name
+        (if name = "cache" then bad else Snapshot.find snap name))
+    (Snapshot.names snap);
+  (* through the container format, so the checksums are valid *)
+  let damaged = Snapshot.of_string (Snapshot.to_string damaged) in
+  (match D.System.restore (D.System.create mode) damaged with
+  | () -> Alcotest.fail "restore accepted a link to a nonexistent record"
+  | exception Snapshot.Corrupt _ -> ());
+  let bad_depot = Depot.of_string (Depot.to_string (variant ~cache:bad depot)) in
+  let blames_cache what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted a link to a nonexistent record" what
+    | exception Depot.Depot_error { section; _ } ->
+      Alcotest.(check string) (what ^ " blames the cache section") "cache" section
+  in
+  blames_cache "depot_install" (fun () ->
+      ignore (D.System.depot_install (make_sys mode image) bad_depot));
+  blames_cache "depot_check" (fun () -> ignore (D.System.depot_check bad_depot))
+
 let suite =
   [
     ( "aotcache",
@@ -379,5 +522,9 @@ let suite =
           test_quarantine_honored;
         Alcotest.test_case "breaker rule write-back persists" `Quick
           test_rule_writeback;
+        Alcotest.test_case "restore and depot replay agree" `Quick
+          test_replay_policies_agree;
+        Alcotest.test_case "out-of-range chain link rejected" `Quick
+          test_link_range_checked;
       ] );
   ]

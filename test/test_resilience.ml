@@ -5,6 +5,7 @@ module W = Repro_workloads.Workloads
 module R = Repro_rules
 module Fi = Repro_faultinject.Faultinject
 module Res = Repro_resilience
+module Parfleet = Repro_parallel.Parfleet
 
 (* Self-healing fleet tests: backoff and health-ladder unit behavior,
    then whole-fleet drills exercising crash-only restarts, deadlines,
@@ -152,7 +153,7 @@ let drill ~seed ~machines ~faulty ~requests =
       ~config:{ Res.Fleet.machines; min_healthy = 1; policy }
       (Lazy.force base)
   in
-  Res.Fleet.run f ~requests;
+  Parfleet.run ~domains:1 f ~requests;
   ignore (Res.Fleet.final_verify f);
   f
 
@@ -185,8 +186,8 @@ let test_fleet_breaker_broadcast () =
       (Lazy.force base)
   in
   (* simulate machine 0's shadow verification quarantining a rule
-     locally, then let the breaker sweep (which runs after machine 0
-     serves) broadcast it *)
+     locally, then let the breaker sweep (which runs at the end of the
+     epoch machine 0 serves in) broadcast it *)
   let rs_of i =
     match (Res.Supervisor.machine (Res.Fleet.supervisor f i)).D.System.ruleset with
     | Some rs -> rs
@@ -195,9 +196,10 @@ let test_fleet_breaker_broadcast () =
   let victim = (List.hd (R.Ruleset.rules (rs_of 0))).R.Rule.id in
   Alcotest.(check bool) "local quarantine installs" true
     (R.Ruleset.quarantine_by_id (rs_of 0) victim);
-  (match Res.Fleet.serve_one f with
-  | Res.Fleet.Done { machine = 0; result = Res.Supervisor.Served _ } -> ()
-  | _ -> Alcotest.fail "machine 0 should serve the first request");
+  let served i = Res.Supervisor.served (Res.Fleet.supervisor f i) in
+  Parfleet.run ~domains:1 f ~requests:3;
+  Alcotest.(check int) "machine 0 serves under its local quarantine" 1
+    (served 0);
   Alcotest.(check int) "one breaker trip" 1 (Res.Fleet.breaker_trips f);
   for i = 1 to 2 do
     Alcotest.(check (list int))
@@ -207,9 +209,10 @@ let test_fleet_breaker_broadcast () =
   done;
   (* the broadcast must not break the other machines: they still serve
      and still match the reference *)
-  (match Res.Fleet.serve_one f with
-  | Res.Fleet.Done { machine = 1; result = Res.Supervisor.Served _ } -> ()
-  | _ -> Alcotest.fail "machine 1 should serve under the broadcast quarantine");
+  Parfleet.run ~domains:1 f ~requests:3;
+  Alcotest.(check int) "machine 1 serves under the broadcast quarantine" 2
+    (served 1);
+  Alcotest.(check int) "every request served" 6 (Res.Fleet.served_ok f);
   Alcotest.(check bool) "survivors verify clean" true (Res.Fleet.final_verify f)
 
 let test_fleet_admission_control () =
@@ -218,14 +221,14 @@ let test_fleet_admission_control () =
       ~config:{ Res.Fleet.machines = 2; min_healthy = 2; policy }
       (Lazy.force base)
   in
-  (match Res.Fleet.serve_one f with
-  | Res.Fleet.Done _ -> ()
-  | Res.Fleet.Shed -> Alcotest.fail "full fleet must not shed");
+  Parfleet.run ~domains:1 f ~requests:1;
+  Alcotest.(check int) "full fleet serves" 1 (Res.Fleet.served_ok f);
+  Alcotest.(check int) "full fleet does not shed" 0 (Res.Fleet.shed f);
   (* kill one machine: serving drops below min_healthy, requests shed *)
   Res.Health.kill (Res.Supervisor.health (Res.Fleet.supervisor f 0));
-  (match Res.Fleet.serve_one f with
-  | Res.Fleet.Shed -> ()
-  | Res.Fleet.Done _ -> Alcotest.fail "under-strength fleet must shed");
+  Parfleet.run ~domains:1 f ~requests:1;
+  Alcotest.(check int) "under-strength fleet serves nothing" 1
+    (Res.Fleet.served_ok f);
   Alcotest.(check int) "shed counted" 1 (Res.Fleet.shed f);
   Alcotest.(check int) "alive count sees the death" 1 (Res.Fleet.alive_count f)
 

@@ -69,9 +69,11 @@ let drill ?(machines = 3) ?(faulty = 1) ?(requests = 9) ~seed ~collect () =
   in
   (match collector with
   | Some c ->
-    Res.Fleet.run fleet ~after_each:(fun () -> Tel.Collector.tick c) ~requests;
+    Repro_parallel.Parfleet.run ~domains:1 fleet
+      ~after_each:(fun () -> Tel.Collector.tick c)
+      ~requests;
     Tel.Collector.finish c
-  | None -> Res.Fleet.run fleet ~requests);
+  | None -> Repro_parallel.Parfleet.run ~domains:1 fleet ~requests);
   ignore (Res.Fleet.final_verify fleet);
   (fleet, collector, plan)
 
