@@ -52,7 +52,7 @@ let load_jsonl path =
     exit 2
 
 let read_file path =
-  try A.read_file path
+  try Repro_common.Atomicio.read path
   with Sys_error e ->
     Printf.eprintf "%s\n" e;
     exit 2

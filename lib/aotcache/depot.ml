@@ -1,4 +1,6 @@
-module Snapshot = Repro_snapshot.Snapshot
+module Container = Repro_common.Container
+module Enc = Container.Enc
+module Dec = Container.Dec
 module Fi = Repro_faultinject.Faultinject
 module Atomicio = Repro_common.Atomicio
 
@@ -7,14 +9,14 @@ exception Depot_error of { section : string; reason : string }
 let err section fmt =
   Printf.ksprintf (fun reason -> raise (Depot_error { section; reason })) fmt
 
-(* Any decoder slip (truncated payload, bad tag) inside [section]
-   becomes the typed error; nothing else escapes the load path. *)
-let guard section f =
-  try f () with
-  | Snapshot.Corrupt reason -> err section "%s" reason
-  | Invalid_argument reason -> err section "%s" reason
+let typed f =
+  try f ()
+  with Container.Malformed { section; reason } ->
+    raise (Depot_error { section; reason })
 
-let format_version = 1
+let section name f = typed (fun () -> Container.in_section name f)
+
+let format_version = 2
 let magic = "DBTDEPOT"
 let manifest_name = "MANIFEST"
 let manifest_header = "DBTDEPOT-MANIFEST 1"
@@ -49,118 +51,60 @@ let quarantine_pcs t pcs =
   t.quarantined <- merged;
   grew
 
-let ruleset_digest rs = Snapshot.fnv1a32 (Repro_rules.Serialize.save rs)
+let ruleset_digest rs = Container.fnv1a32 (Repro_rules.Serialize.save rs)
 
-(* ---- blob container ---- *)
-
-let encode_compat c =
-  let b = Snapshot.Enc.create () in
-  Snapshot.Enc.string b c.c_mode;
-  Snapshot.Enc.int b c.c_rules_digest;
-  Snapshot.Enc.int b c.c_hot_threshold;
-  Snapshot.Enc.contents b
-
-let decode_compat payload =
-  guard "compat" @@ fun () ->
-  let d = Snapshot.Dec.of_string ~name:"compat" payload in
-  let c_mode = Snapshot.Dec.string d in
-  let c_rules_digest = Snapshot.Dec.int d in
-  let c_hot_threshold = Snapshot.Dec.int d in
-  if not (Snapshot.Dec.finished d) then err "compat" "trailing bytes";
-  { c_mode; c_rules_digest; c_hot_threshold }
-
-let encode_ints l =
-  let b = Snapshot.Enc.create () in
-  Snapshot.Enc.int_array b (Array.of_list l);
-  Snapshot.Enc.contents b
-
-let decode_ints section payload =
-  guard section @@ fun () ->
-  let d = Snapshot.Dec.of_string ~name:section payload in
-  let a = Snapshot.Dec.int_array d in
-  if not (Snapshot.Dec.finished d) then err section "trailing bytes";
-  Array.to_list a
+(* ---- the blob: a container schema ---- *)
 
 let to_string t =
-  let b = Snapshot.Enc.create () in
-  Snapshot.Enc.int b t.generation;
-  let srcsum_payload =
-    let e = Snapshot.Enc.create () in
-    Snapshot.Enc.int_array e t.srcsum;
-    Snapshot.Enc.contents e
+  let c = Container.create () in
+  let add = Container.add c in
+  let encoded f =
+    let b = Enc.create () in
+    f b;
+    Enc.contents b
   in
-  let sections =
-    [
-      ("compat", encode_compat t.compat);
-      ("rules", t.rules);
-      ("cache", t.cache);
-      ("srcsum", srcsum_payload);
-      ("health", t.health);
-      ("quarantine", encode_ints t.quarantined);
-    ]
-  in
-  Snapshot.Enc.int b (List.length sections);
-  List.iter
-    (fun (name, payload) ->
-      Snapshot.Enc.string b name;
-      Snapshot.Enc.string b payload;
-      Snapshot.Enc.int b (Snapshot.fnv1a32 payload))
-    sections;
-  let body = Snapshot.Enc.contents b in
-  let hdr = Snapshot.Enc.create () in
-  Snapshot.Enc.int hdr format_version;
-  Snapshot.Enc.int hdr (Snapshot.fnv1a32 body);
-  magic ^ Snapshot.Enc.contents hdr ^ body
+  add "generation" (encoded (fun b -> Enc.int b t.generation));
+  add "compat"
+    (encoded (fun b ->
+         Enc.string b t.compat.c_mode;
+         Enc.int b t.compat.c_rules_digest;
+         Enc.int b t.compat.c_hot_threshold));
+  add "rules" t.rules;
+  add "cache" t.cache;
+  add "srcsum" (encoded (fun b -> Enc.int_array b t.srcsum));
+  add "health" t.health;
+  add "quarantine"
+    (encoded (fun b -> Enc.int_array b (Array.of_list t.quarantined)));
+  Container.encode ~magic ~version:format_version c
 
 let of_string s =
-  if String.length s < 24 then
-    err "container" "truncated header (%d bytes)" (String.length s);
-  if String.sub s 0 8 <> magic then err "container" "bad magic";
-  let hdr = Snapshot.Dec.of_string ~name:"container" (String.sub s 8 16) in
-  let version = guard "container" (fun () -> Snapshot.Dec.int hdr) in
-  if version <> format_version then
-    err "container" "format version %d, this build reads %d" version
-      format_version;
-  let sum = guard "container" (fun () -> Snapshot.Dec.int hdr) in
-  let body = String.sub s 24 (String.length s - 24) in
-  let actual = Snapshot.fnv1a32 body in
-  if sum <> actual then
-    err "container" "body checksum mismatch (stored %#x, computed %#x)" sum
-      actual;
-  let d = Snapshot.Dec.of_string ~name:"depot" body in
-  let generation = guard "container" (fun () -> Snapshot.Dec.int d) in
-  if generation < 0 then err "container" "negative generation";
-  let count = guard "container" (fun () -> Snapshot.Dec.int d) in
-  if count < 0 || count > 64 then err "container" "bad section count %d" count;
-  let sections =
-    List.init count (fun _ ->
-        guard "container" @@ fun () ->
-        let name = Snapshot.Dec.string d in
-        let payload = Snapshot.Dec.string d in
-        let sum = Snapshot.Dec.int d in
-        let actual = Snapshot.fnv1a32 payload in
-        if sum <> actual then
-          err name "section checksum mismatch (stored %#x, computed %#x)" sum
-            actual;
-        (name, payload))
+  typed @@ fun () ->
+  let c = Container.decode ~magic ~version:format_version s in
+  let raw name = Container.in_section name (fun () -> Container.find c name) in
+  let decode name f =
+    Container.in_section name (fun () ->
+        Dec.whole ~name (Container.find c name) f)
   in
-  if not (guard "container" (fun () -> Snapshot.Dec.finished d)) then
-    err "container" "trailing bytes";
-  let find name =
-    match List.assoc_opt name sections with
-    | Some p -> p
-    | None -> err name "missing section"
+  let generation = decode "generation" Dec.int in
+  if generation < 0 then err "generation" "negative generation";
+  let compat =
+    decode "compat" (fun d ->
+        let c_mode = Dec.string d in
+        let c_rules_digest = Dec.int d in
+        let c_hot_threshold = Dec.int d in
+        { c_mode; c_rules_digest; c_hot_threshold })
   in
-  let compat = decode_compat (find "compat") in
-  let srcsum = Array.of_list (decode_ints "srcsum" (find "srcsum")) in
-  let quarantined = List.sort_uniq compare (decode_ints "quarantine" (find "quarantine")) in
+  let srcsum = decode "srcsum" Dec.int_array in
+  let quarantined =
+    List.sort_uniq compare (Array.to_list (decode "quarantine" Dec.int_array))
+  in
   {
     generation;
     compat;
-    rules = find "rules";
-    cache = find "cache";
+    rules = raw "rules";
+    cache = raw "cache";
     srcsum;
-    health = find "health";
+    health = raw "health";
     quarantined;
   }
 
@@ -177,14 +121,7 @@ let blob_name t = Printf.sprintf "depot-%d.bin" t.generation
 let is_blob f = String.length f > 10 && String.sub f 0 6 = "depot-" && Filename.check_suffix f ".bin"
 
 let read_whole_file section path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> s
-  | exception Sys_error e -> err section "%s" e
+  try Atomicio.read path with Sys_error e -> err section "%s" e
 
 let parse_manifest s =
   match String.split_on_char '\n' s with
@@ -266,7 +203,7 @@ let save ?inject ~dir t =
          m_generation = t.generation;
          m_blob = name;
          m_bytes = String.length blob;
-         m_checksum = Snapshot.fnv1a32 blob;
+         m_checksum = Container.fnv1a32 blob;
        });
   (* Older generations (and orphans from crashed saves) are garbage
      once the manifest moved on. Removal is best-effort: a leftover
@@ -308,7 +245,7 @@ let load ?inject dir =
   if String.length raw <> m.m_bytes then
     err "blob" "manifest promises %d bytes, %s has %d" m.m_bytes m.m_blob
       (String.length raw);
-  let actual = Snapshot.fnv1a32 raw in
+  let actual = Container.fnv1a32 raw in
   if actual <> m.m_checksum then
     err "blob" "blob checksum mismatch (manifest %#x, computed %#x)"
       m.m_checksum actual;

@@ -17,25 +17,17 @@
     rename. A crash between the two leaves an orphaned blob the loader
     never looks at; the previous generation stays live.
 
-    Blob container format:
-
-    {v
-      bytes 0..7    magic "DBTDEPOT"
-      bytes 8..15   u64 LE format version (currently 1)
-      bytes 16..23  u64 LE FNV-1a-32 checksum of the body
-      bytes 24..    body: u64 generation, u64 section count, then per
-                    section a length-prefixed name, a length-prefixed
-                    payload and a u64 FNV-1a-32 payload checksum
-    v}
-
-    Sections: ["compat"] (the {!compat} key), ["rules"] (the
-    serialized ruleset), ["cache"] (translation recipes — the opaque
-    payload produced by [Repro_dbt.System]), ["srcsum"] (per-recipe
-    guest-code checksums, the install-time fidelity guard), ["health"]
-    (blacklist / rule strikes / quarantined rules) and ["quarantine"]
-    (guest PCs whose depot entries were poisoned — shadow verification
-    caught a depot-loaded TB diverging, and the write-back keeps the
-    poison from ever reloading).
+    The blob is a {!Repro_common.Container} schema with magic
+    ["DBTDEPOT"] and format version 2. Sections, in order:
+    ["generation"] (the generation stamped by {!save}, checked against
+    the manifest on {!load}), ["compat"] (the {!compat} key),
+    ["rules"] (the serialized ruleset), ["cache"] (translation recipes
+    — the opaque payload produced by [Repro_dbt.System]), ["srcsum"]
+    (per-recipe guest-code checksums, the install-time fidelity
+    guard), ["health"] (blacklist / rule strikes / quarantined rules)
+    and ["quarantine"] (guest PCs whose depot entries were poisoned —
+    shadow verification caught a depot-loaded TB diverging, and the
+    write-back keeps the poison from ever reloading).
 
     Nothing translated is trusted untyped: every load failure — torn
     write, truncation, bit flip, version or compatibility skew —
@@ -48,6 +40,11 @@ exception Depot_error of { section : string; reason : string }
     ["blob"] / ["container"] for damage outside any section. *)
 
 val format_version : int
+
+val section : string -> (unit -> 'a) -> 'a
+(** [section name f] decodes a payload of section [name] with [f]: a
+    [Repro_common.Container.Corrupt] or [Invalid_argument] raised by
+    [f] becomes {!Depot_error} naming [name]. *)
 
 type compat = {
   c_mode : string;  (** engine mode name, e.g. ["rules:full"] *)

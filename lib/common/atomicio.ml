@@ -43,3 +43,5 @@ let write ?fsync path data =
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e);
   commit ?fsync path tmp oc
+
+let read path = In_channel.with_open_bin path In_channel.input_all

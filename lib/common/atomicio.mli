@@ -5,7 +5,8 @@
     the bytes land in a temporary file in the destination directory,
     are fsync'd, and only then renamed over the target. A crash at any
     point leaves either the old file or the new one — never a torn
-    half-write that poisons the next reader. *)
+    half-write that poisons the next reader. {!read} is the matching
+    whole-file reader. *)
 
 val write : ?fsync:bool -> string -> string -> unit
 (** [write path data]: write [data] to [path] atomically
@@ -19,3 +20,8 @@ val write_channel : string -> (out_channel -> unit) -> unit
 (** [write_channel path f]: stream into a temp file via [f], then
     commit with fsync + rename — {!write} for producers that emit
     incrementally instead of building the whole string first. *)
+
+val read : string -> string
+(** [read path]: the whole file, read in binary mode; the channel is
+    closed on every path. Raises [Sys_error] when the file cannot be
+    read — callers map that to their own typed error. *)

@@ -10,6 +10,9 @@ module Tlb = Repro_mmu.Mmu.Tlb
 module Fi = Repro_faultinject.Faultinject
 module Ruleset = Repro_rules.Ruleset
 module Flagconv = Repro_rules.Flagconv
+module Container = Repro_common.Container
+module Enc = Container.Enc
+module Dec = Container.Dec
 module Snapshot = Repro_snapshot.Snapshot
 module Journal = Repro_snapshot.Journal
 module Depot = Repro_aotcache.Depot
@@ -265,53 +268,53 @@ let encode_cache t =
     (fun i (tb : Tb.t) ->
       Hashtbl.replace index_of_id tb.Tb.id (Array.length tbs + i))
     regions;
-  let b = Snapshot.Enc.create () in
+  let b = Enc.create () in
   let enc_meta (tb : Tb.t) =
     match t.rule_translator with
-    | None -> Snapshot.Enc.bool b false
+    | None -> Enc.bool b false
     | Some tr -> (
       match Translator_rule.cache_meta tr tb with
-      | None -> Snapshot.Enc.bool b false
+      | None -> Enc.bool b false
       | Some (elide, conv) ->
-        Snapshot.Enc.bool b true;
-        Snapshot.Enc.int b (Array.length elide);
-        Array.iter (Snapshot.Enc.bool b) elide;
-        Snapshot.Enc.int b (int_of_conv conv))
+        Enc.bool b true;
+        Enc.int b (Array.length elide);
+        Array.iter (Enc.bool b) elide;
+        Enc.int b (int_of_conv conv))
   in
   let enc_links (tb : Tb.t) =
-    Snapshot.Enc.int b (Array.length tb.Tb.links);
+    Enc.int b (Array.length tb.Tb.links);
     Array.iter
       (fun succ ->
-        Snapshot.Enc.int b
+        Enc.int b
           (match succ with
           | None -> -1
           | Some (s : Tb.t) -> Hashtbl.find index_of_id s.Tb.id))
       tb.Tb.links
   in
-  Snapshot.Enc.int b (Array.length tbs);
+  Enc.int b (Array.length tbs);
   Array.iter
     (fun (tb : Tb.t) ->
-      Snapshot.Enc.int b tb.Tb.id;
-      Snapshot.Enc.int b tb.Tb.guest_pc;
-      Snapshot.Enc.bool b tb.Tb.privileged;
-      Snapshot.Enc.bool b tb.Tb.mmu_on;
-      Snapshot.Enc.int b
+      Enc.int b tb.Tb.id;
+      Enc.int b tb.Tb.guest_pc;
+      Enc.bool b tb.Tb.privileged;
+      Enc.bool b tb.Tb.mmu_on;
+      Enc.int b
         (match tb.Tb.translated_override with None -> -1 | Some n -> n);
-      Snapshot.Enc.int b (int_of_injected tb.Tb.injected);
-      Snapshot.Enc.int b tb.Tb.hot;
+      Enc.int b (int_of_injected tb.Tb.injected);
+      Enc.int b tb.Tb.hot;
       enc_meta tb)
     tbs;
   Array.iter enc_links tbs;
-  Snapshot.Enc.int b (Array.length regions);
+  Enc.int b (Array.length regions);
   Array.iter
     (fun (tb : Tb.t) ->
-      Snapshot.Enc.int b tb.Tb.id;
-      Snapshot.Enc.int b tb.Tb.hot;
-      Snapshot.Enc.int b (Array.length tb.Tb.region_ids);
+      Enc.int b tb.Tb.id;
+      Enc.int b tb.Tb.hot;
+      Enc.int b (Array.length tb.Tb.region_ids);
       Array.iter
         (fun cid ->
           match Hashtbl.find_opt index_of_id cid with
-          | Some i when i < Array.length tbs -> Snapshot.Enc.int b i
+          | Some i when i < Array.length tbs -> Enc.int b i
           | _ ->
             raise
               (Snapshot.Corrupt
@@ -322,52 +325,52 @@ let encode_cache t =
       enc_meta tb)
     regions;
   Array.iter enc_links regions;
-  Snapshot.Enc.contents b
+  Enc.contents b
 
 let decode_cache payload =
-  let d = Snapshot.Dec.of_string ~name:"cache" payload in
+  Dec.whole ~name:"cache" payload @@ fun d ->
   let dec_meta () =
-    if Snapshot.Dec.bool d then begin
-      let len = Snapshot.Dec.int d in
-      let elide = Array.init len (fun _ -> Snapshot.Dec.bool d) in
-      let conv = conv_of_int (Snapshot.Dec.int d) in
+    if Dec.bool d then begin
+      let len = Dec.int d in
+      let elide = Array.init len (fun _ -> Dec.bool d) in
+      let conv = conv_of_int (Dec.int d) in
       Some (elide, conv)
     end
     else None
   in
   let dec_links n =
     Array.init n (fun _ ->
-        let slots = Snapshot.Dec.int d in
-        Array.init slots (fun _ -> Snapshot.Dec.int d))
+        let slots = Dec.int d in
+        Array.init slots (fun _ -> Dec.int d))
   in
-  let n = Snapshot.Dec.int d in
+  let n = Dec.int d in
   if n < 0 then raise (Snapshot.Corrupt "cache: negative record count");
   let records =
     Array.init n (fun _ ->
-        let r_id = Snapshot.Dec.int d in
-        let r_pc = Snapshot.Dec.int d in
-        let r_priv = Snapshot.Dec.bool d in
-        let r_mmu = Snapshot.Dec.bool d in
-        let ov = Snapshot.Dec.int d in
+        let r_id = Dec.int d in
+        let r_pc = Dec.int d in
+        let r_priv = Dec.bool d in
+        let r_mmu = Dec.bool d in
+        let ov = Dec.int d in
         let r_override = if ov < 0 then None else Some ov in
-        let r_injected = injected_of_int (Snapshot.Dec.int d) in
-        let r_hot = Snapshot.Dec.int d in
+        let r_injected = injected_of_int (Dec.int d) in
+        let r_hot = Dec.int d in
         let r_meta = dec_meta () in
         { r_id; r_pc; r_priv; r_mmu; r_override; r_injected; r_hot; r_meta })
   in
   let links = dec_links n in
-  let m = Snapshot.Dec.int d in
+  let m = Dec.int d in
   if m < 0 then raise (Snapshot.Corrupt "cache: negative region count");
   let regions =
     Array.init m (fun _ ->
-        let rg_id = Snapshot.Dec.int d in
-        let rg_hot = Snapshot.Dec.int d in
-        let members = Snapshot.Dec.int d in
+        let rg_id = Dec.int d in
+        let rg_hot = Dec.int d in
+        let members = Dec.int d in
         if members < 2 then
           raise (Snapshot.Corrupt "cache: region with fewer than two chunks");
         let rg_members =
           Array.init members (fun _ ->
-              let i = Snapshot.Dec.int d in
+              let i = Dec.int d in
               if i < 0 || i >= n then
                 raise (Snapshot.Corrupt "cache: region member out of range");
               i)
@@ -376,59 +379,49 @@ let decode_cache payload =
         { rg_id; rg_hot; rg_members; rg_meta })
   in
   let region_links = dec_links m in
-  if not (Snapshot.Dec.finished d) then
-    raise (Snapshot.Corrupt "cache: trailing bytes");
   let in_range = Array.for_all (Array.for_all (fun s -> s >= -1 && s < n + m)) in
   if not (in_range links && in_range region_links) then
     raise (Snapshot.Corrupt "cache: link to a nonexistent record");
   { records; links; regions; region_links }
 
+(* (rule or PC, count) pairs: shadow progress and rule strikes *)
+let enc_pair b (x, y) =
+  Enc.int b x;
+  Enc.int b y
+
+let dec_pair d =
+  let x = Dec.int d in
+  let y = Dec.int d in
+  (x, y)
+
 let encode_translator tr rs =
   let saved = Translator_rule.save_state tr in
   let strikes, quarantined = Ruleset.export_health rs in
-  let b = Snapshot.Enc.create () in
-  let ints l =
-    Snapshot.Enc.int b (List.length l);
-    List.iter (Snapshot.Enc.int b) l
-  in
-  let pairs l =
-    Snapshot.Enc.int b (List.length l);
-    List.iter
-      (fun (x, y) ->
-        Snapshot.Enc.int b x;
-        Snapshot.Enc.int b y)
-      l
-  in
+  let b = Enc.create () in
+  let ints l = Enc.int_array b (Array.of_list l) in
+  let pairs l = Enc.list b enc_pair l in
   ints saved.Translator_rule.s_blacklist;
   pairs saved.Translator_rule.s_shadow_done;
   pairs saved.Translator_rule.s_shadow_tries;
-  Snapshot.Enc.int b saved.Translator_rule.s_rule_covered;
-  Snapshot.Enc.int b saved.Translator_rule.s_fallback;
-  Snapshot.Enc.int b saved.Translator_rule.s_inter_tb_elisions;
+  Enc.int b saved.Translator_rule.s_rule_covered;
+  Enc.int b saved.Translator_rule.s_fallback;
+  Enc.int b saved.Translator_rule.s_inter_tb_elisions;
   pairs strikes;
   ints quarantined;
-  Snapshot.Enc.contents b
+  Enc.contents b
 
 let decode_translator payload =
-  let d = Snapshot.Dec.of_string ~name:"translator" payload in
-  let ints () = Array.to_list (Snapshot.Dec.int_array d) in
-  let pairs () =
-    let n = Snapshot.Dec.int d in
-    List.init n (fun _ ->
-        let x = Snapshot.Dec.int d in
-        let y = Snapshot.Dec.int d in
-        (x, y))
-  in
+  Dec.whole ~name:"translator" payload @@ fun d ->
+  let ints () = Array.to_list (Dec.int_array d) in
+  let pairs () = Dec.list d dec_pair in
   let s_blacklist = ints () in
   let s_shadow_done = pairs () in
   let s_shadow_tries = pairs () in
-  let s_rule_covered = Snapshot.Dec.int d in
-  let s_fallback = Snapshot.Dec.int d in
-  let s_inter_tb_elisions = Snapshot.Dec.int d in
+  let s_rule_covered = Dec.int d in
+  let s_fallback = Dec.int d in
+  let s_inter_tb_elisions = Dec.int d in
   let strikes = pairs () in
   let quarantined = ints () in
-  if not (Snapshot.Dec.finished d) then
-    raise (Snapshot.Corrupt "translator: trailing bytes");
   ( {
       Translator_rule.s_blacklist;
       s_shadow_done;
@@ -441,21 +434,19 @@ let decode_translator payload =
     quarantined )
 
 let encode_resume (r : Engine.resume) =
-  let b = Snapshot.Enc.create () in
-  Snapshot.Enc.int b r.Engine.rpc;
-  Snapshot.Enc.bool b r.Engine.rprivileged;
-  Snapshot.Enc.bool b r.Engine.rmmu_on;
-  Snapshot.Enc.bool b r.Engine.rneeds_enter;
-  Snapshot.Enc.contents b
+  let b = Enc.create () in
+  Enc.int b r.Engine.rpc;
+  Enc.bool b r.Engine.rprivileged;
+  Enc.bool b r.Engine.rmmu_on;
+  Enc.bool b r.Engine.rneeds_enter;
+  Enc.contents b
 
 let decode_resume payload =
-  let d = Snapshot.Dec.of_string ~name:"resume" payload in
-  let rpc = Snapshot.Dec.int d in
-  let rprivileged = Snapshot.Dec.bool d in
-  let rmmu_on = Snapshot.Dec.bool d in
-  let rneeds_enter = Snapshot.Dec.bool d in
-  if not (Snapshot.Dec.finished d) then
-    raise (Snapshot.Corrupt "resume: trailing bytes");
+  Dec.whole ~name:"resume" payload @@ fun d ->
+  let rpc = Dec.int d in
+  let rprivileged = Dec.bool d in
+  let rmmu_on = Dec.bool d in
+  let rneeds_enter = Dec.bool d in
   { Engine.rpc; rprivileged; rmmu_on; rneeds_enter }
 
 let capture ?resume t =
@@ -466,24 +457,24 @@ let capture ?resume t =
   (match t.rt.Runtime.trace with
   | Some tr -> Trace.emit tr Trace.Snapshot "capture"
   | None -> ());
-  let snap = Snapshot.create () in
-  Snapshot.add snap "mode" (mode_name t.mode);
+  let snap = Container.create () in
+  Container.add snap "mode" (mode_name t.mode);
   Snapshot.capture_machine t.rt snap;
-  Snapshot.add snap "cache" (encode_cache t);
-  let ctl = Snapshot.Enc.create () in
-  Snapshot.Enc.int ctl (Tb.Cache.full_flushes t.cache);
-  Snapshot.Enc.int ctl (Tb.Cache.ids t.cache);
-  Snapshot.add snap "cachectl" (Snapshot.Enc.contents ctl);
+  Container.add snap "cache" (encode_cache t);
+  let ctl = Enc.create () in
+  Enc.int ctl (Tb.Cache.full_flushes t.cache);
+  Enc.int ctl (Tb.Cache.ids t.cache);
+  Container.add snap "cachectl" (Enc.contents ctl);
   (match (t.rule_translator, t.ruleset) with
-  | Some tr, Some rs -> Snapshot.add snap "translator" (encode_translator tr rs)
+  | Some tr, Some rs -> Container.add snap "translator" (encode_translator tr rs)
   | _ -> ());
   (match resume with
-  | Some r -> Snapshot.add snap "resume" (encode_resume r)
+  | Some r -> Container.add snap "resume" (encode_resume r)
   | None -> ());
-  let dg = Snapshot.Enc.create () in
-  Snapshot.Enc.int dg (rung_level t.rung_floor);
-  Snapshot.add snap "degrade" (Snapshot.Enc.contents dg);
-  Snapshot.add snap "journal" (Journal.to_string t.journal);
+  let dg = Enc.create () in
+  Enc.int dg (rung_level t.rung_floor);
+  Container.add snap "degrade" (Enc.contents dg);
+  Container.add snap "journal" (Journal.to_string t.journal);
   snap
 
 let snapshot t =
@@ -661,7 +652,7 @@ let restore ?(rebuild = true) t snap =
   | Some tr ->
     Trace.emit tr ~a:(if rebuild then 1 else 0) Trace.Snapshot "restore"
   | None -> ());
-  (match Snapshot.find_opt snap "mode" with
+  (match Container.find_opt snap "mode" with
   | Some m when m = mode_name t.mode -> ()
   | Some m ->
     raise
@@ -688,7 +679,7 @@ let restore ?(rebuild = true) t snap =
      snapshot as-is: rolling it back only means re-verifying, which is
      always sound. *)
   let tr_saved =
-    match (t.rule_translator, t.ruleset, Snapshot.find_opt snap "translator") with
+    match (t.rule_translator, t.ruleset, Container.find_opt snap "translator") with
     | Some tr, Some rs, Some payload ->
       let saved, strikes, quarantined = decode_translator payload in
       Some (ratchet_health tr rs saved ~strikes ~quarantined)
@@ -696,12 +687,9 @@ let restore ?(rebuild = true) t snap =
     | Some _, _, None -> raise (Snapshot.Corrupt "missing section translator")
     | _ -> raise (Snapshot.Corrupt "translator section in a qemu-mode snapshot")
   in
-  (match Snapshot.find_opt snap "degrade" with
+  (match Container.find_opt snap "degrade" with
   | Some payload ->
-    let d = Snapshot.Dec.of_string ~name:"degrade" payload in
-    let floor = rung_of_level (Snapshot.Dec.int d) in
-    if not (Snapshot.Dec.finished d) then
-      raise (Snapshot.Corrupt "degrade: trailing bytes");
+    let floor = rung_of_level (Dec.whole ~name:"degrade" payload Dec.int) in
     t.rung_floor <- lowest_rung t.rung_floor floor
   | None -> ());
   (* The rebuild re-translates the records with the mode's own
@@ -713,7 +701,7 @@ let restore ?(rebuild = true) t snap =
      degraded engine retranslate on demand, which is guest-invariant. *)
   Tb.Cache.flush t.cache;
   if rebuild && t.rung_floor = natural_rung t then begin
-    let rc = decode_cache (Snapshot.find snap "cache") in
+    let rc = decode_cache (Container.find snap "cache") in
     let n = Array.length rc.records and m = Array.length rc.regions in
     if m > 0 && t.rule_translator = None then
       raise (Snapshot.Corrupt "cache: region records in a qemu-mode snapshot");
@@ -750,27 +738,24 @@ let restore ?(rebuild = true) t snap =
   (match (t.rule_translator, tr_saved) with
   | Some tr, Some saved -> Translator_rule.restore_counters tr saved
   | _ -> ());
-  let ctl = Snapshot.Dec.of_string ~name:"cachectl" (Snapshot.find snap "cachectl") in
-  Tb.Cache.set_full_flushes t.cache (Snapshot.Dec.int ctl);
-  Tb.Cache.set_ids t.cache (Snapshot.Dec.int ctl);
-  let redo name f =
-    let d = Snapshot.Dec.of_string ~name (Snapshot.find snap name) in
-    f d
-  in
+  let redo name f = Dec.whole ~name (Container.find snap name) f in
+  redo "cachectl" (fun d ->
+      Tb.Cache.set_full_flushes t.cache (Dec.int d);
+      Tb.Cache.set_ids t.cache (Dec.int d));
   redo "stats" (fun d ->
-      Stats.load_array (Runtime.stats t.rt) (Snapshot.Dec.int_array d));
+      Stats.load_array (Runtime.stats t.rt) (Dec.int_array d));
   redo "tlb" (fun d ->
-      Tlb.restore t.rt.Runtime.ctx.Runtime.Exec.tlb (Snapshot.Dec.int_array d));
+      Tlb.restore t.rt.Runtime.ctx.Runtime.Exec.tlb (Dec.int_array d));
   (match t.rt.Runtime.inject with
   | Some inj ->
-    redo "inject" (fun d -> Fi.import inj (Snapshot.Dec.i64_array d))
+    redo "inject" (fun d -> Fi.import inj (Dec.i64_array d))
   | None -> ());
   t.pending_resume <-
-    (match Snapshot.find_opt snap "resume" with
+    (match Container.find_opt snap "resume" with
     | Some p -> Some (decode_resume p)
     | None -> None);
   t.journal <-
-    (match Snapshot.find_opt snap "journal" with
+    (match Container.find_opt snap "journal" with
     | Some j -> Journal.of_string j
     | None -> Journal.create ());
   t.last_checkpoint <- None;
@@ -779,19 +764,18 @@ let restore ?(rebuild = true) t snap =
 (* ---- snapshot readers for front ends ---- *)
 
 let snapshot_mode snap =
-  let m = Snapshot.find snap "mode" in
+  let m = Container.find snap "mode" in
   match mode_of_name m with
   | Some mode -> mode
   | None -> raise (Snapshot.Corrupt (Printf.sprintf "unknown mode %s" m))
 
 let snapshot_injector snap =
-  match Snapshot.find_opt snap "inject" with
+  match Container.find_opt snap "inject" with
   | None -> None
   | Some payload ->
-    let d = Snapshot.Dec.of_string ~name:"inject" payload in
-    Some (Fi.of_export (Snapshot.Dec.i64_array d))
+    Some (Fi.of_export (Dec.whole ~name:"inject" payload Dec.i64_array))
 
-let snapshot_ram_kib snap = String.length (Snapshot.find snap "ram") / 1024
+let snapshot_ram_kib snap = String.length (Container.find snap "ram") / 1024
 
 let snapshot_clean snap =
   (* Clean = usable as a watchdog/restart rollback target: either the
@@ -799,7 +783,7 @@ let snapshot_clean snap =
      engine-dispatch boundary where the pending [on_enter] rebuilds all
      host-resident state ([rneeds_enter]). Mid-chain captures carry
      inter-TB host state a restarted engine would not re-establish. *)
-  match Snapshot.find_opt snap "resume" with
+  match Container.find_opt snap "resume" with
   | None -> true
   | Some p -> (decode_resume p).Engine.rneeds_enter
 
@@ -819,7 +803,7 @@ let guest_checksum (tb : Tb.t) =
   Array.iter
     (fun i -> Buffer.add_string b (Format.asprintf "%a;" Repro_arm.Insn.pp i))
     tb.Tb.guest_insns;
-  Snapshot.fnv1a32 (Buffer.contents b)
+  Container.fnv1a32 (Buffer.contents b)
 
 let cache_srcsums t =
   Tb.Cache.to_list t.cache
@@ -833,46 +817,28 @@ let cache_srcsums t =
    re-verify on every warm boot, and that re-verification is the
    sensor the depot's self-repair loop (poison write-back) runs on. *)
 let encode_depot_health ~blacklist ~strikes ~quarantined =
-  let b = Snapshot.Enc.create () in
-  Snapshot.Enc.int_array b (Array.of_list blacklist);
-  Snapshot.Enc.int b (List.length strikes);
-  List.iter
-    (fun (x, y) ->
-      Snapshot.Enc.int b x;
-      Snapshot.Enc.int b y)
-    strikes;
-  Snapshot.Enc.int_array b (Array.of_list quarantined);
-  Snapshot.Enc.contents b
+  let b = Enc.create () in
+  Enc.int_array b (Array.of_list blacklist);
+  Enc.list b enc_pair strikes;
+  Enc.int_array b (Array.of_list quarantined);
+  Enc.contents b
 
 let decode_depot_health payload =
-  let d = Snapshot.Dec.of_string ~name:"health" payload in
-  let blacklist = Array.to_list (Snapshot.Dec.int_array d) in
-  let n = Snapshot.Dec.int d in
-  if n < 0 then raise (Snapshot.Corrupt "health: negative strike count");
-  let strikes =
-    List.init n (fun _ ->
-        let x = Snapshot.Dec.int d in
-        let y = Snapshot.Dec.int d in
-        (x, y))
-  in
-  let quarantined = Array.to_list (Snapshot.Dec.int_array d) in
-  if not (Snapshot.Dec.finished d) then
-    raise (Snapshot.Corrupt "health: trailing bytes");
+  Dec.whole ~name:"health" payload @@ fun d ->
+  let blacklist = Array.to_list (Dec.int_array d) in
+  let strikes = Dec.list d dec_pair in
+  let quarantined = Array.to_list (Dec.int_array d) in
   (blacklist, strikes, quarantined)
 
-(* A payload that fails to decode is a [Depot_error] naming its section. *)
-let in_section section f =
-  try f () with
-  | Snapshot.Corrupt reason | Invalid_argument reason ->
-    depot_err section "%s" reason
-
 let depot_health depot =
-  in_section "health" (fun () -> decode_depot_health (Depot.health depot))
+  Depot.section "health" (fun () -> decode_depot_health (Depot.health depot))
 
 (* Decode and cross-check the engine-level payloads — the one input
    check behind both install and the machine-free verification. *)
 let decode_depot depot =
-  let rc = in_section "cache" (fun () -> decode_cache (Depot.cache_payload depot)) in
+  let rc =
+    Depot.section "cache" (fun () -> decode_cache (Depot.cache_payload depot))
+  in
   let srcsum = Depot.srcsum depot in
   if Array.length srcsum <> Array.length rc.records then
     depot_err "srcsum" "%d checksums for %d recipes" (Array.length srcsum)
@@ -934,7 +900,7 @@ let depot_wave t dp =
     dp.dp_generation <- gen
   end;
   let saved_tr = Option.map Translator_rule.save_state t.rule_translator in
-  let scratch = Snapshot.create () in
+  let scratch = Container.create () in
   Snapshot.capture_machine rt scratch;
   let pcw = rt.Runtime.pending_code_write
   and scw = rt.Runtime.suppress_code_write
@@ -1130,13 +1096,13 @@ let postmortem_dump ?profile t ~reason =
   | Some cp ->
     (* fresh copy: the stored checkpoint stays reusable *)
     let dump = Snapshot.of_string (Snapshot.to_string cp) in
-    Snapshot.add dump "expected" (Journal.to_string t.journal);
-    Snapshot.add dump "reason" reason;
+    Container.add dump "expected" (Journal.to_string t.journal);
+    Container.add dump "reason" reason;
     (* Where was the time going when it died? The hot-block table is
        the first thing a post-mortem reader wants. *)
     (match profile with
     | Some p ->
-      Snapshot.add dump "profile"
+      Container.add dump "profile"
         (Format.asprintf "%a" (Repro_tcg.Profile.pp_report ~top:10) p)
     | None -> ());
     Some dump
@@ -1384,11 +1350,11 @@ type replay_report = {
 let replay ?(slack = 10_000) t dump =
   restore t dump;
   let expected =
-    match Snapshot.find_opt dump "expected" with
+    match Container.find_opt dump "expected" with
     | Some s -> Journal.events (Journal.of_string s)
     | None -> []
   in
-  let reason = Snapshot.find_opt dump "reason" in
+  let reason = Container.find_opt dump "reason" in
   t.journal <- Journal.create ();
   let stats = Runtime.stats t.rt in
   let budget =

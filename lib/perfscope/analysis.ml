@@ -215,17 +215,11 @@ let gate ?(threshold_pct = 5.) ~baseline ~current () =
 
 (* ---- file loading ---- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let load_json path = Jsonx.parse (read_file path)
+let load_json path = Jsonx.parse (Repro_common.Atomicio.read path)
 
 (* JSONL: one value per non-empty line (the trace/metrics exports). *)
 let load_jsonl path =
-  read_file path
+  Repro_common.Atomicio.read path
   |> String.split_on_char '\n'
   |> List.filter_map (fun line ->
          if String.trim line = "" then None else Some (Jsonx.parse line))

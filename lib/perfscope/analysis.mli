@@ -79,7 +79,6 @@ val gate :
 
 (** {2 File loading} *)
 
-val read_file : string -> string
 val load_json : string -> Jsonx.value
 val load_jsonl : string -> Jsonx.value list
 (** One value per non-empty line. *)

@@ -1,28 +1,22 @@
-(** Crash-consistent machine snapshots.
+(** Crash-consistent machine snapshots: a schema over
+    {!Repro_common.Container} with magic ["DBTSNAP\x01"] and format
+    version 2.
 
-    A snapshot is an ordered list of named binary sections inside a
-    versioned, checksummed container:
-
-    {v
-      bytes 0..7    magic "DBTSNAP\x01"
-      bytes 8..15   u64 LE format version (currently 2)
-      bytes 16..23  u64 LE FNV-1a-32 checksum of the body (low 32 bits)
-      bytes 24..    body: u64 section count, then per section a
-                    length-prefixed name, a length-prefixed payload,
-                    and a u64 FNV-1a-32 checksum of the payload
-    v}
-
-    All integers are little-endian u64 ({!Enc}/{!Dec}); section order
-    is preserved so save -> load -> save is byte-identical. The
-    machine-core sections (CPU, env, RAM, TLB, devices, injector,
-    stats) are produced and consumed here; engine-level sections
-    (translation-cache records, ruleset health, resume cursor,
+    A snapshot is a {!Repro_common.Container.t}: build and read its
+    sections with the container's table ([add], [find], ...) and
+    payload codecs ({!Repro_common.Container.Enc}/[Dec]). The
+    machine-core sections (["cpu"], ["env"], ["host"], ["ram"],
+    ["tlb"], ["timer"], ["uart"], ["syscon"], ["inject"] when the
+    machine has a fault injector, ["stats"]) are produced and consumed
+    here; engine-level sections (mode, translation-cache records,
+    cache control, ruleset health, degrade floor, resume cursor,
     journal) are layered on by [Repro_dbt.System]. *)
 
 exception Corrupt of string
 (** A semantic problem in an already-loaded snapshot: missing or
     malformed section payload, shape mismatch against the machine
-    being restored into. *)
+    being restored into. The same exception as
+    {!Repro_common.Container.Corrupt}. *)
 
 exception Load_error of { section : string; reason : string }
 (** Container-integrity failure while {e loading} raw bytes
@@ -35,54 +29,7 @@ exception Load_error of { section : string; reason : string }
 
 val format_version : int
 
-(** {2 Primitive little-endian encoders} *)
-
-module Enc : sig
-  type t
-
-  val create : unit -> t
-  val u64 : t -> int64 -> unit
-  val int : t -> int -> unit
-  val bool : t -> bool -> unit
-  val string : t -> string -> unit
-  val int_array : t -> int array -> unit
-  val i64_array : t -> int64 array -> unit
-  val contents : t -> string
-end
-
-module Dec : sig
-  type t
-
-  val of_string : ?name:string -> string -> t
-  (** [name] labels {!Corrupt} messages. *)
-
-  val u64 : t -> int64
-  val int : t -> int
-  val bool : t -> bool
-  val string : t -> string
-  val int_array : t -> int array
-  val i64_array : t -> int64 array
-
-  val finished : t -> bool
-  (** All input consumed — decoders should end on [true]. *)
-end
-
-(** {2 The section container} *)
-
-type t
-
-val create : unit -> t
-
-val add : t -> string -> string -> unit
-(** Append section [name] with the given payload. Raises
-    [Invalid_argument] on a duplicate name. *)
-
-val find : t -> string -> string
-(** Raises {!Corrupt} when the section is absent. *)
-
-val find_opt : t -> string -> string option
-val mem : t -> string -> bool
-val names : t -> string list
+type t = Repro_common.Container.t
 
 val to_string : t -> string
 (** Serialize to the checksummed container format. *)
@@ -119,8 +66,3 @@ val restore_machine : Repro_tcg.Runtime.t -> t -> unit
     their between-TB defaults. Raises {!Corrupt} on shape mismatch —
     including a snapshot that carries injector state restored into a
     machine without an injector, or vice versa. *)
-
-(** {2 Checksum} *)
-
-val fnv1a32 : string -> int
-(** The body checksum (FNV-1a, 32-bit). *)

@@ -5,6 +5,7 @@ module W = Repro_workloads.Workloads
 module R = Repro_rules
 module Fi = Repro_faultinject.Faultinject
 module Snapshot = Repro_snapshot.Snapshot
+module Container = Repro_common.Container
 module Depot = Repro_aotcache.Depot
 module Scope = Repro_perfscope.Scope
 module Phase = Repro_perfscope.Phase
@@ -100,6 +101,47 @@ let test_container_fuzz () =
     Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor bit));
     load (Printf.sprintf "random flip at %d" pos) (Bytes.to_string b)
   done
+
+(* Damage inside a section payload is blamed on that section, and a
+   duplicated section name is refused even when every checksum holds. *)
+let test_blame_section () =
+  let _, _, _, depot = Lazy.force cold_ctx in
+  let good = Depot.to_string depot in
+  let blamed what s =
+    match Depot.of_string s with
+    | _ -> Alcotest.failf "%s: damage not detected" what
+    | exception Depot.Depot_error { section; _ } -> section
+  in
+  let find_sub needle =
+    let n = String.length needle in
+    let rec go i =
+      if i + n > String.length good then Alcotest.fail "not in the blob"
+      else if String.sub good i n = needle then i
+      else go (i + 1)
+    in
+    go 24
+  in
+  let rules = Depot.rules depot in
+  let b = Bytes.of_string good in
+  let pos = find_sub rules + (String.length rules / 2) in
+  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x01));
+  Alcotest.(check string) "a flip in the rules payload blames rules" "rules"
+    (blamed "flip in rules" (Bytes.to_string b));
+  (* rename "cache" to "rules": the payload checksums still hold, and
+     the whole-body checksum is recomputed *)
+  let framed name =
+    let e = Container.Enc.create () in
+    Container.Enc.string e name;
+    Container.Enc.contents e
+  in
+  let b = Bytes.of_string good in
+  Bytes.blit_string (framed "rules") 0 b (find_sub (framed "cache"))
+    (String.length (framed "rules"));
+  Bytes.set_int64_le b 16
+    (Int64.of_int
+       (Container.fnv1a32 (Bytes.sub_string b 24 (Bytes.length b - 24))));
+  Alcotest.(check string) "a duplicated name blames that section" "rules"
+    (blamed "duplicate rules section" (Bytes.to_string b))
 
 (* ---- file-level damage: truncated and zero-length blobs ------------ *)
 
@@ -417,16 +459,16 @@ let test_replay_policies_agree () =
 (* Re-encode a cache section (the layout [System.encode_cache] writes)
    with its first chain link pointing one past the last recipe. *)
 let with_link_out_of_range payload =
-  let d = Snapshot.Dec.of_string payload in
+  let d = Container.Dec.of_string payload in
   let toks = ref [] and count = ref 0 and first_link = ref (-1) in
   let int () =
-    let v = Snapshot.Dec.int d in
+    let v = Container.Dec.int d in
     toks := `I v :: !toks;
     incr count;
     v
   in
   let bool () =
-    let v = Snapshot.Dec.bool d in
+    let v = Container.Dec.bool d in
     toks := `B v :: !toks;
     incr count;
     v
@@ -467,26 +509,26 @@ let with_link_out_of_range payload =
   done;
   links m;
   Alcotest.(check bool) "the cache section has a chain link" true (!first_link >= 0);
-  let b = Snapshot.Enc.create () in
+  let b = Container.Enc.create () in
   List.iteri
     (fun k tok ->
       match tok with
-      | `I _ when k = !first_link -> Snapshot.Enc.int b (n + m)
-      | `I v -> Snapshot.Enc.int b v
-      | `B v -> Snapshot.Enc.bool b v)
+      | `I _ when k = !first_link -> Container.Enc.int b (n + m)
+      | `I v -> Container.Enc.int b v
+      | `B v -> Container.Enc.bool b v)
     (List.rev !toks);
-  Snapshot.Enc.contents b
+  Container.Enc.contents b
 
 let test_link_range_checked () =
   let image, frozen, depot = Lazy.force partial_ctx in
   let snap = Snapshot.of_string frozen in
-  let bad = with_link_out_of_range (Snapshot.find snap "cache") in
-  let damaged = Snapshot.create () in
+  let bad = with_link_out_of_range (Container.find snap "cache") in
+  let damaged = Container.create () in
   List.iter
     (fun name ->
-      Snapshot.add damaged name
-        (if name = "cache" then bad else Snapshot.find snap name))
-    (Snapshot.names snap);
+      Container.add damaged name
+        (if name = "cache" then bad else Container.find snap name))
+    (Container.names snap);
   (* through the container format, so the checksums are valid *)
   let damaged = Snapshot.of_string (Snapshot.to_string damaged) in
   (match D.System.restore (D.System.create mode) damaged with
@@ -509,6 +551,8 @@ let suite =
       [
         Alcotest.test_case "depot container fuzz (flip + truncate)" `Quick
           test_container_fuzz;
+        Alcotest.test_case "damage blamed on its section" `Quick
+          test_blame_section;
         Alcotest.test_case "truncated + zero-length blob files" `Quick
           test_file_damage;
         Alcotest.test_case "crash-commit protocol" `Quick test_commit_protocol;

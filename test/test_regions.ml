@@ -7,6 +7,7 @@ module Stats = Repro_x86.Stats
 module Exec = Repro_x86.Exec
 module Cpu = Repro_arm.Cpu
 module Snapshot = Repro_snapshot.Snapshot
+module Container = Repro_common.Container
 module Fi = Repro_faultinject.Faultinject
 module Perf = Repro_perfscope
 
@@ -224,9 +225,9 @@ let test_region_watchdog_bend () =
           (* capture the scope clock at the rollback instant (the
              callback fires before the checkpoint is restored) and the
              checkpoint's own host-insn clock from the dump *)
-          let d = Snapshot.Dec.of_string ~name:"stats" (Snapshot.find dump "stats") in
+          let d = Container.Dec.of_string ~name:"stats" (Container.find dump "stats") in
           let cp_stats = Stats.create () in
-          Stats.load_array cp_stats (Snapshot.Dec.int_array d);
+          Stats.load_array cp_stats (Container.Dec.int_array d);
           pms := (Perf.Scope.total scope, cp_stats.Stats.host_insns) :: !pms)
         sys
     in

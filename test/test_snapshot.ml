@@ -7,6 +7,7 @@ module Stats = Repro_x86.Stats
 module Exec = Repro_x86.Exec
 module Fi = Repro_faultinject.Faultinject
 module Snapshot = Repro_snapshot.Snapshot
+module Container = Repro_common.Container
 module Journal = Repro_snapshot.Journal
 module Cpu = Repro_arm.Cpu
 
@@ -298,6 +299,35 @@ let test_restore_keeps_quarantine () =
   let res = D.System.run ~max_guest_insns:2_000_000 thawed in
   ignore (halt_code res)
 
+(* A translator section whose first pair count is negative, re-framed
+   with valid checksums: restore must reject it as [Corrupt] instead of
+   letting the list decoder's [Invalid_argument] escape. *)
+let test_negative_pair_count () =
+  let image = kernel_image () in
+  let mode = D.System.Rules D.Opt.full in
+  let sys = make_sys mode image in
+  ignore (D.System.run ~max_guest_insns:10_000 sys);
+  let snap = D.System.snapshot sys in
+  let blacklist =
+    Container.Dec.int_array
+      (Container.Dec.of_string (Container.find snap "translator"))
+  in
+  let b = Container.Enc.create () in
+  Container.Enc.int_array b blacklist;
+  Container.Enc.int b (-1);
+  let damaged = Container.create () in
+  List.iter
+    (fun name ->
+      Container.add damaged name
+        (if name = "translator" then Container.Enc.contents b
+         else Container.find snap name))
+    (Container.names snap);
+  let damaged = Snapshot.of_string (Snapshot.to_string damaged) in
+  match D.System.restore (make_sys mode image) damaged with
+  | () -> Alcotest.fail "restore accepted a negative pair count"
+  | exception Snapshot.Corrupt _ -> ()
+  | exception e -> Alcotest.failf "escaped exception %s" (Printexc.to_string e)
+
 (* Corrupt every section of a full engine-level snapshot in turn (and
    truncate the container at a sweep of lengths): loading must always
    surface a typed [Load_error] naming the damaged section — never a
@@ -328,7 +358,7 @@ let test_corrupt_every_section () =
   in
   List.iter
     (fun name ->
-      let payload = Snapshot.find snap name in
+      let payload = Container.find snap name in
       if String.length payload > 0 then begin
         let pos =
           match find_sub good payload 24 with
@@ -344,9 +374,9 @@ let test_corrupt_every_section () =
         Alcotest.(check bool)
           (Printf.sprintf "flip in %s blames a section (got %s)" name blamed)
           true
-          (List.mem blamed (Snapshot.names snap))
+          (List.mem blamed (Container.names snap))
       end)
-    (Snapshot.names snap);
+    (Container.names snap);
   (* truncation sweep: every prefix must fail typed *)
   let len = String.length good in
   let step = max 1 (len / 97) in
@@ -485,7 +515,7 @@ let test_postmortem_profile_determinism () =
         ~on_postmortem thawed
     in
     let sections =
-      List.rev_map (fun (_, d) -> Snapshot.find d "profile") !dumps
+      List.rev_map (fun (_, d) -> Container.find d "profile") !dumps
     in
     (halt_code res, guest_state thawed, sections)
   in
@@ -524,6 +554,8 @@ let suite =
         Alcotest.test_case "typed load errors" `Quick test_load_error;
         Alcotest.test_case "container corruption detected" `Quick
           test_corruption_detected;
+        Alcotest.test_case "negative pair count is Corrupt" `Quick
+          test_negative_pair_count;
         Alcotest.test_case "corrupt-every-section fuzz" `Quick
           test_corrupt_every_section;
         Alcotest.test_case "truncated + zero-length files load typed" `Quick
