@@ -15,12 +15,16 @@ let in_section section f =
   | Corrupt reason | Invalid_argument reason ->
     raise (Malformed { section; reason })
 
-let fnv1a32 s =
-  let h = ref 0x811c9dc5 in
+let fnv_basis = 0x811c9dc5
+
+let fnv_add h s =
+  let h = ref h in
   String.iter
     (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFF_FFFF)
     s;
   !h
+
+let fnv1a32 s = fnv_add fnv_basis s
 
 module Enc = struct
   type t = Buffer.t
@@ -98,22 +102,54 @@ end
 
 (* ---- the section table ---- *)
 
-type t = { mutable sections : (string * string) list (* reversed *) }
+(* A paged payload is the concatenation of its pages; the strings are
+   shared, never copied, so a page array must not be mutated once
+   added. *)
+type payload = Flat of string | Paged of string array
+
+type t = { mutable sections : (string * payload) list (* reversed *) }
 
 let create () = { sections = [] }
+let copy t = { sections = t.sections }
 let mem t name = List.mem_assoc name t.sections
 
-let add t name payload =
+let add_payload t name payload =
   if mem t name then
     invalid_arg (Printf.sprintf "Container.add: duplicate section %s" name);
   t.sections <- (name, payload) :: t.sections
 
-let find_opt t name = List.assoc_opt name t.sections
+let add t name payload = add_payload t name (Flat payload)
+let add_pages t name pages = add_payload t name (Paged pages)
 
-let find t name =
-  match find_opt t name with
+let parts = function Flat s -> [| s |] | Paged pages -> pages
+let parts_length = Array.fold_left (fun n p -> n + String.length p) 0
+
+let flat = function
+  | Flat s -> s
+  | Paged pages -> String.concat "" (Array.to_list pages)
+
+let split ~page_bytes s =
+  let len = String.length s in
+  Array.init
+    ((len + page_bytes - 1) / page_bytes)
+    (fun i ->
+      let off = i * page_bytes in
+      String.sub s off (min page_bytes (len - off)))
+
+let find_payload t name =
+  match List.assoc_opt name t.sections with
   | Some p -> p
   | None -> corrupt "missing section %s" name
+
+let find_opt t name = Option.map flat (List.assoc_opt name t.sections)
+let find t name = flat (find_payload t name)
+
+let find_pages t name ~page_bytes =
+  match find_payload t name with
+  | Paged pages -> pages
+  | Flat s -> split ~page_bytes s
+
+let length t name = parts_length (parts (find_payload t name))
 
 let names t = List.rev_map fst t.sections
 
@@ -132,8 +168,12 @@ let encode ~magic ~version t =
   List.iter
     (fun (name, payload) ->
       Enc.string body name;
-      Enc.string body payload;
-      Enc.int body (fnv1a32 payload))
+      (* a paged payload is written page by page: same bytes as its
+         flattened string, without building it *)
+      let parts = parts payload in
+      Enc.int body (parts_length parts);
+      Array.iter (Buffer.add_string body) parts;
+      Enc.int body (Array.fold_left fnv_add fnv_basis parts))
     ordered;
   let body = Enc.contents body in
   let out = Buffer.create (String.length body + header_bytes) in
@@ -143,7 +183,7 @@ let encode ~magic ~version t =
   Buffer.add_string out body;
   Buffer.contents out
 
-let decode ~magic ~version s =
+let decode ?(paged = []) ~magic ~version s =
   let len = String.length s in
   if len < header_bytes then
     malformed "container" "shorter than its header (%d bytes)" len;
@@ -169,7 +209,9 @@ let decode ~magic ~version s =
           corrupt "section checksum mismatch (stored %#x, computed %#x)"
             stored computed;
         (* raises on a duplicate name, blamed on that name *)
-        add t name payload)
+        match List.assoc_opt name paged with
+        | Some page_bytes -> add_pages t name (split ~page_bytes payload)
+        | None -> add t name payload)
   done;
   if not (Dec.finished d) then
     malformed "container" "trailing bytes after last section";

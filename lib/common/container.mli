@@ -84,12 +84,34 @@ type t
 
 val create : unit -> t
 
+val copy : t -> t
+(** A new table holding the same sections; adding to either leaves the
+    other unchanged. Payloads are immutable and shared, not copied. *)
+
 val add : t -> string -> string -> unit
 (** Append section [name] with the given payload. Raises
     [Invalid_argument] on a duplicate name. *)
 
+val add_pages : t -> string -> string array -> unit
+(** Append section [name] whose payload is the concatenation of
+    [pages]. The strings are shared, not copied, and the array must
+    not be mutated afterwards. {!encode} writes the same bytes as for
+    the flattened payload. *)
+
 val find : t -> string -> string
-(** Raises {!Corrupt} when the section is absent. *)
+(** Raises {!Corrupt} when the section is absent. A paged payload is
+    flattened into a fresh string. *)
+
+val find_pages : t -> string -> page_bytes:int -> string array
+(** The pages of section [name]: the array stored by {!add_pages} (or
+    by {!decode}'s [paged]) itself, or a flat payload split into
+    [page_bytes] pieces, the last one shorter when the length is not a
+    multiple. Do not mutate the result. Raises {!Corrupt} when the
+    section is absent. *)
+
+val length : t -> string -> int
+(** Payload length in bytes, without flattening. Raises {!Corrupt}
+    when the section is absent. *)
 
 val find_opt : t -> string -> string option
 val mem : t -> string -> bool
@@ -100,10 +122,12 @@ val names : t -> string list
 val encode : magic:string -> version:int -> t -> string
 (** Serialize under an 8-byte [magic] and a format [version]. *)
 
-val decode : magic:string -> version:int -> string -> t
+val decode :
+  ?paged:(string * int) list -> magic:string -> version:int -> string -> t
 (** Parse and validate magic, version, section count, every
     per-section checksum and then the whole-body checksum, so damage
     inside a section is blamed on that section. A duplicate section
     name, or a count that is negative or larger than the body can
     frame, is rejected. Raises {!Malformed} (and nothing else) on any
-    failure, whatever the input bytes. *)
+    failure, whatever the input bytes. [paged] names sections to hold
+    as pages of the given size (see {!find_pages}). *)

@@ -775,7 +775,7 @@ let snapshot_injector snap =
   | Some payload ->
     Some (Fi.of_export (Dec.whole ~name:"inject" payload Dec.i64_array))
 
-let snapshot_ram_kib snap = String.length (Container.find snap "ram") / 1024
+let snapshot_ram_kib snap = Container.length snap "ram" / 1024
 
 let snapshot_clean snap =
   (* Clean = usable as a watchdog/restart rollback target: either the
@@ -1094,8 +1094,9 @@ let postmortem_dump ?profile t ~reason =
   match t.last_checkpoint with
   | None -> None
   | Some cp ->
-    (* fresh copy: the stored checkpoint stays reusable *)
-    let dump = Snapshot.of_string (Snapshot.to_string cp) in
+    (* a new section table over the same immutable payloads: the
+       stored checkpoint stays reusable *)
+    let dump = Container.copy cp in
     Container.add dump "expected" (Journal.to_string t.journal);
     Container.add dump "reason" reason;
     (* Where was the time going when it died? The hot-block table is

@@ -6,8 +6,11 @@ let syscon_base = 0xF000_2000
 let device_window = 0xF000_0000
 let device_window_end = 0xF000_3000
 
+module Ctx = Repro_x86.Ctx
+
 type t = {
   ram : Bytes.t;
+  dirty : Bytes.t;
   timer : Devices.Timer.t;
   uart : Devices.Uart.t;
   syscon : Devices.Syscon.t;
@@ -15,9 +18,13 @@ type t = {
   mutable device_read_hook : (int -> int -> unit) option;
 }
 
-let create ~ram =
+let create ~ram ~dirty =
+  (* [Ctx.mark] does not bounds-check the map *)
+  if Bytes.length dirty <> Ctx.pages (Bytes.length ram) then
+    invalid_arg "Bus.create: dirty map size does not match RAM";
   {
     ram;
+    dirty;
     timer = Devices.Timer.create ();
     uart = Devices.Uart.create ();
     syscon = Devices.Syscon.create ();
@@ -69,10 +76,9 @@ let read32 t paddr =
 let write32 t paddr v =
   if bus_fault t Repro_faultinject.Faultinject.Bus_write then Error ()
   else if in_ram t paddr 4 then begin
-    Bytes.set t.ram paddr (Char.chr (v land 0xFF));
-    Bytes.set t.ram (paddr + 1) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set t.ram (paddr + 2) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set t.ram (paddr + 3) (Char.chr ((v lsr 24) land 0xFF));
+    Bytes.set_int32_le t.ram paddr (Int32.of_int v);
+    Ctx.mark t.dirty paddr;
+    Ctx.mark t.dirty (paddr + 3);
     Ok ()
   end
   else
@@ -94,7 +100,11 @@ let read8 t paddr =
 let write8 t paddr v =
   if in_ram t paddr 1 then
     if bus_fault t Repro_faultinject.Faultinject.Bus_write then Error ()
-    else Ok (Bytes.set t.ram paddr (Char.chr (v land 0xFF)))
+    else begin
+      Bytes.set t.ram paddr (Char.chr (v land 0xFF));
+      Ctx.mark t.dirty paddr;
+      Ok ()
+    end
   else if paddr >= device_window && paddr < device_window_end then
     write32 t (paddr land lnot 3 land 0xFFFFFFFF) (v land 0xFF)
   else Error ()

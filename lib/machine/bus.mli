@@ -1,8 +1,9 @@
 (** The guest physical address space: RAM at 0x0 plus the MMIO device
-    window at 0xF000_0000. The RAM backing store is shared with the
-    host execution context so DBT-emitted code can access guest memory
-    directly after translation, while device pages always take the
-    slow path (they are never entered into the TLB). *)
+    window at 0xF000_0000. The RAM backing store and its page dirty
+    map are shared with the host execution context so DBT-emitted code
+    can access guest memory directly after translation, while device
+    pages always take the slow path (they are never entered into the
+    TLB). *)
 
 open Repro_common
 
@@ -12,6 +13,9 @@ val syscon_base : Word32.t
 
 type t = {
   ram : Bytes.t;
+  dirty : Bytes.t;
+      (** The page dirty map of {!Repro_x86.Ctx.t}, shared like [ram]:
+          every RAM write here marks the pages it touched. *)
   timer : Devices.Timer.t;
   uart : Devices.Uart.t;
   syscon : Devices.Syscon.t;
@@ -26,7 +30,10 @@ type t = {
           timestamps. Transient run state, never serialized. *)
 }
 
-val create : ram:Bytes.t -> t
+val create : ram:Bytes.t -> dirty:Bytes.t -> t
+(** [dirty] holds one byte per {!Repro_x86.Ctx.page_bytes} page of
+    [ram]; any other size raises [Invalid_argument]. *)
+
 val ram_size : t -> int
 
 val is_ram : t -> Word32.t -> bool

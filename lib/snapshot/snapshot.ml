@@ -5,6 +5,7 @@
 
 module Rt = Repro_tcg.Runtime
 module Exec = Repro_x86.Exec
+module Ctx = Repro_x86.Ctx
 module Stats = Repro_x86.Stats
 module Cpu = Repro_arm.Cpu
 module Bus = Repro_machine.Bus
@@ -31,7 +32,10 @@ let to_string t = Container.encode ~magic ~version:format_version t
    truncation, bit flips, bad lengths, version skew — surfaces as
    [Load_error] naming the innermost section being decoded. *)
 let of_string s =
-  try Container.decode ~magic ~version:format_version s
+  try
+    Container.decode
+      ~paged:[ ("ram", Ctx.page_bytes) ]
+      ~magic ~version:format_version s
   with Container.Malformed { section; reason } ->
     raise (Load_error { section; reason })
 
@@ -50,6 +54,51 @@ let ints a =
   Enc.int_array b a;
   Enc.contents b
 
+(* Guest RAM through the dirty map (see {!Ctx.t}): capture refreshes
+   the [clean] string of each page written since and shares all of
+   them, so consecutive checkpoints differ physically in exactly the
+   pages dirtied between them. *)
+let capture_ram (ctx : Ctx.t) =
+  let clean = ctx.Ctx.clean in
+  Bytes.iteri
+    (fun i d ->
+      if d <> '\000' then begin
+        let off = i * Ctx.page_bytes in
+        clean.(i) <- Bytes.sub_string ctx.Ctx.ram off (String.length clean.(i));
+        Bytes.set ctx.Ctx.dirty i '\000'
+      end)
+    ctx.Ctx.dirty;
+  Array.copy clean
+
+(* A page needs copying back when it was written since its [clean]
+   string was taken, or when that string is not the snapshot's own
+   page (a different checkpoint's, or a decoded snapshot's). The
+   snapshot's pages are then adopted, never written to. *)
+let restore_ram (ctx : Ctx.t) t =
+  let ram = ctx.Ctx.ram and clean = ctx.Ctx.clean in
+  let len = Container.length t "ram" in
+  if len <> Bytes.length ram then
+    corrupt "ram: %d bytes, machine has %d" len (Bytes.length ram);
+  let pages = Container.find_pages t "ram" ~page_bytes:Ctx.page_bytes in
+  if
+    Array.length pages <> Array.length clean
+    || not
+         (Array.for_all2
+            (fun p c -> String.length p = String.length c)
+            pages clean)
+  then corrupt "ram: page layout differs from the machine's";
+  let copied = ref 0 in
+  Array.iteri
+    (fun i page ->
+      if Bytes.get ctx.Ctx.dirty i <> '\000' || clean.(i) != page then begin
+        Bytes.blit_string page 0 ram (i * Ctx.page_bytes) (String.length page);
+        clean.(i) <- page;
+        Bytes.set ctx.Ctx.dirty i '\000';
+        incr copied
+      end)
+    pages;
+  !copied
+
 let capture_machine (rt : Rt.t) t =
   let ctx = rt.Rt.ctx in
   let add = Container.add t in
@@ -63,7 +112,7 @@ let capture_machine (rt : Rt.t) t =
   Enc.bool host ctx.Exec.o_f;
   Enc.int host ctx.Exec.poison_counter;
   add "host" (Enc.contents host);
-  add "ram" (Bytes.to_string ctx.Exec.ram);
+  Container.add_pages t "ram" (capture_ram ctx);
   add "tlb" (ints (Tlb.save ctx.Exec.tlb));
   add "timer" (ints (Devices.Timer.export rt.Rt.bus.Bus.timer));
   let uart = Enc.create () in
@@ -106,11 +155,7 @@ let restore_machine (rt : Rt.t) t =
       ctx.Exec.sf <- Dec.bool host;
       ctx.Exec.o_f <- Dec.bool host;
       ctx.Exec.poison_counter <- Dec.int host);
-  let ram = Container.find t "ram" in
-  if String.length ram <> Bytes.length ctx.Exec.ram then
-    corrupt "ram: %d bytes, machine has %d" (String.length ram)
-      (Bytes.length ctx.Exec.ram);
-  Bytes.blit_string ram 0 ctx.Exec.ram 0 (String.length ram);
+  ignore (restore_ram ctx t);
   (try Tlb.restore ctx.Exec.tlb (dec_ints "tlb")
    with Invalid_argument e -> corrupt "tlb: %s" e);
   (try Devices.Timer.import rt.Rt.bus.Bus.timer (dec_ints "timer")

@@ -36,8 +36,9 @@ val to_string : t -> string
 
 val of_string : string -> t
 (** Parse and validate magic, version, every per-section checksum and
-    the whole-body checksum. Raises {!Load_error} (and nothing else)
-    on any failure, naming the damaged section. *)
+    the whole-body checksum. The ["ram"] section comes back paged.
+    Raises {!Load_error} (and nothing else) on any failure, naming the
+    damaged section. *)
 
 val save_file : string -> t -> unit
 (** Crash-atomic: write-to-temp + fsync + rename
@@ -54,7 +55,15 @@ val load_file : string -> t
     CPU (current view, banked registers, CP15, FPSCR), the lazy-flag
     env array, host register file and EFLAGS, guest RAM, softMMU TLB,
     the three devices, the fault injector's PRNG cursor and counters,
-    and the statistics block. *)
+    and the statistics block.
+
+    Guest RAM goes through the page dirty map of
+    {!Repro_x86.Ctx.t}: the ["ram"] section is held as
+    {!Repro_x86.Ctx.page_bytes} pages
+    ({!Repro_common.Container.add_pages}) that a capture shares with
+    the machine's [clean] pages and with every other capture, copying
+    only the pages written since the last capture or restore. On disk
+    it is the flat RAM image. *)
 
 val capture_machine : Repro_tcg.Runtime.t -> t -> unit
 (** Append the machine-core sections to [t]. *)
@@ -66,3 +75,10 @@ val restore_machine : Repro_tcg.Runtime.t -> t -> unit
     their between-TB defaults. Raises {!Corrupt} on shape mismatch —
     including a snapshot that carries injector state restored into a
     machine without an injector, or vice versa. *)
+
+val restore_ram : Repro_x86.Ctx.t -> t -> int
+(** The ["ram"] part of {!restore_machine}: copy back only the pages
+    that are dirty or whose [clean] string is not the snapshot's own,
+    then adopt the snapshot's pages as [clean]. Returns the number of
+    pages copied. Raises {!Corrupt} when the section's size or page
+    layout differs from the machine's. *)

@@ -8,13 +8,22 @@ type t = {
   mutable o_f : bool;
   env : int array;
   ram : Bytes.t;
+  dirty : Bytes.t;
+  clean : string array;
   tlb : int array;
   stats : Stats.t;
   mutable helper : t -> int -> int;
   mutable poison_counter : int;
 }
 
+let page_bits = 12
+let page_bytes = 1 lsl page_bits
+let pages ram_size = (ram_size + page_bytes - 1) / page_bytes
+
 let create ?(env_slots = 64) ?(ram_size = 1 lsl 20) ?(tlb_words = 768) () =
+  let n = pages ram_size in
+  let zero = String.make page_bytes '\000' in
+  let last = String.make (ram_size - ((n - 1) * page_bytes)) '\000' in
   {
     regs = Array.make 16 0;
     cf = false;
@@ -23,6 +32,8 @@ let create ?(env_slots = 64) ?(ram_size = 1 lsl 20) ?(tlb_words = 768) () =
     o_f = false;
     env = Array.make env_slots 0;
     ram = Bytes.make ram_size '\000';
+    dirty = Bytes.make n '\000';
+    clean = Array.init n (fun i -> if i = n - 1 then last else zero);
     tlb = Array.make tlb_words 0;
     stats = Stats.create ();
     helper = (fun _ _ -> failwith "Exec: no helper dispatcher installed");
@@ -45,21 +56,30 @@ let read_ram32 t addr =
   lor (Char.code (Bytes.get t.ram (addr + 2)) lsl 16)
   lor (Char.code (Bytes.get t.ram (addr + 3)) lsl 24)
 
+(* Called after a bounds-checked write of [ram.[addr]], so the page
+   index is in range. Unmodelled: no [Stats] charge. *)
+let mark dirty addr = Bytes.unsafe_set dirty (addr lsr page_bits) '\001'
+
+(* One bounds-checked store: an out-of-range access raises before
+   writing anything, so no byte can change without its page marked. *)
 let write_ram32 t addr v =
-  Bytes.set t.ram addr (Char.chr (v land 0xFF));
-  Bytes.set t.ram (addr + 1) (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set t.ram (addr + 2) (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set t.ram (addr + 3) (Char.chr ((v lsr 24) land 0xFF))
+  Bytes.set_int32_le t.ram addr (Int32.of_int v);
+  mark t.dirty addr;
+  mark t.dirty (addr + 3)
 
 let read_ram8 t addr = Char.code (Bytes.get t.ram addr)
-let write_ram8 t addr v = Bytes.set t.ram addr (Char.chr (v land 0xFF))
+
+let write_ram8 t addr v =
+  Bytes.set t.ram addr (Char.chr (v land 0xFF));
+  mark t.dirty addr
 
 let read_ram16 t addr =
   Char.code (Bytes.get t.ram addr) lor (Char.code (Bytes.get t.ram (addr + 1)) lsl 8)
 
 let write_ram16 t addr v =
-  Bytes.set t.ram addr (Char.chr (v land 0xFF));
-  Bytes.set t.ram (addr + 1) (Char.chr ((v lsr 8) land 0xFF))
+  Bytes.set_uint16_le t.ram addr (v land 0xFFFF);
+  mark t.dirty addr;
+  mark t.dirty (addr + 1)
 
 (* Deterministic, obviously-wrong values: coordination bugs surface as
    0xBAD... register contents in differential tests. Registers other

@@ -20,6 +20,8 @@ type t = Ctx.t = {
   mutable o_f : bool;
   env : int array;
   ram : Bytes.t;
+  dirty : Bytes.t;  (** see {!Ctx.t} *)
+  clean : string array;
   tlb : int array;
   stats : Stats.t;
   mutable helper : t -> int -> int;

@@ -533,6 +533,170 @@ let test_postmortem_profile_determinism () =
   Alcotest.(check (list string))
     "post-mortem profile sections byte-identical across repeats" s1 s2
 
+(* ---- dirty-page RAM image ------------------------------------------ *)
+
+module Ctx = Repro_x86.Ctx
+module Bus = Repro_machine.Bus
+
+let ram_pages snap = Container.find_pages snap "ram" ~page_bytes:Ctx.page_bytes
+
+(* The dirty-map invariant: a page whose dirty byte is clear holds
+   exactly its [clean] string. *)
+let check_clean_pages what sys =
+  let ctx = sys.D.System.rt.T.Runtime.ctx in
+  Array.iteri
+    (fun i page ->
+      if
+        Bytes.get ctx.Exec.dirty i = '\000'
+        && Bytes.sub_string ctx.Exec.ram (i * Ctx.page_bytes) (String.length page)
+           <> page
+      then Alcotest.failf "%s: clean page %d differs from its clean string" what i)
+    ctx.Exec.clean
+
+let check_restored what sys snap =
+  check_clean_pages what sys;
+  if
+    Bytes.to_string sys.D.System.rt.T.Runtime.ctx.Exec.ram
+    <> Container.find snap "ram"
+  then Alcotest.failf "%s: restored RAM differs from the snapshot image" what
+
+(* A seeded mix of runs (periodic checkpoints, injected livelocks the
+   watchdog rolls back), restores from in-memory and decoded snapshots,
+   and direct RAM writes straddling page boundaries through every
+   writer: after each step every clean page equals its [clean] string,
+   and after each restore RAM equals the snapshot's image. *)
+let test_ram_image_invariant () =
+  let image = kernel_image ~target:60_000 () in
+  let inject = Fi.create ~seed:11 ~rate:0.0 () in
+  Fi.set_rate inject Fi.Host_livelock 0.05;
+  let sys = make_sys ~inject (D.System.Rules D.Opt.full) image in
+  let rt = sys.D.System.rt in
+  let ctx = rt.T.Runtime.ctx in
+  let n_pages = Array.length ctx.Exec.clean in
+  let prng = Repro_common.Prng.create ~seed:2024 in
+  let snaps = ref [ D.System.snapshot sys ] in
+  let rollbacks = ref 0 in
+  let done_ = Array.make 4 0 in
+  let pick () = List.nth !snaps (Repro_common.Prng.int prng (List.length !snaps)) in
+  for step = 0 to 39 do
+    let kind = if step < 4 then step else Repro_common.Prng.int prng 4 in
+    done_.(kind) <- done_.(kind) + 1;
+    let what = Printf.sprintf "step %d" step in
+    match kind with
+    | 0 ->
+      ignore
+        (D.System.run
+           ~max_guest_insns:(1_000 + Repro_common.Prng.int prng 6_000)
+           ~checkpoint_every:4_000
+           ~on_checkpoint:(fun s -> snaps := s :: !snaps)
+           ~on_postmortem:(fun ~reason:_ _ -> incr rollbacks)
+           sys);
+      snaps := D.System.snapshot sys :: !snaps;
+      check_clean_pages (what ^ " (run)") sys
+    | 1 ->
+      let snap = pick () in
+      D.System.restore sys snap;
+      check_restored (what ^ " (restore)") sys snap
+    | 2 ->
+      let snap = Snapshot.of_string (Snapshot.to_string (pick ())) in
+      D.System.restore sys snap;
+      check_restored (what ^ " (restore decoded)") sys snap
+    | _ ->
+      (* a machine-level capture leaves every page clean, so each
+         write below lands on a clean page and must mark it *)
+      Snapshot.capture_machine rt (Container.create ());
+      let boundary () = (1 + Repro_common.Prng.int prng (n_pages - 1)) * Ctx.page_bytes in
+      let v = Repro_common.Prng.word prng in
+      Ctx.write_ram32 ctx (boundary () - 2) v;
+      check_clean_pages (what ^ " (Ctx.write_ram32)") sys;
+      (match Bus.write32 rt.T.Runtime.bus (boundary () - 2) v with
+      | Ok () -> ()
+      | Error () -> Alcotest.fail "Bus.write32 into RAM failed");
+      check_clean_pages (what ^ " (Bus.write32)") sys;
+      (match Bus.write8 rt.T.Runtime.bus (boundary () - 1) (v land 0xFF) with
+      | Ok () -> ()
+      | Error () -> Alcotest.fail "Bus.write8 into RAM failed");
+      check_clean_pages (what ^ " (Bus.write8)") sys;
+      (* the writes corrupted the guest: put a checkpoint back *)
+      let snap = pick () in
+      D.System.restore sys snap;
+      check_restored (what ^ " (restore after writes)") sys snap
+  done;
+  Array.iteri
+    (fun kind n -> Alcotest.(check bool) (Printf.sprintf "step kind %d ran" kind) true (n > 0))
+    done_;
+  Alcotest.(check bool) "the watchdog rolled back" true (!rollbacks > 0)
+
+(* Checkpoints share every page not written between them: stepping a
+   gcc run 4000 instructions at a time and capturing after each step,
+   consecutive captures differ physically only in pages the dirty map
+   marked in between, and restoring the earlier capture copies back at
+   most that many pages; a run under [checkpoint_every:4000] shares
+   all but a few pages between checkpoints. A return to whole-RAM
+   copies fails here. *)
+let test_checkpoints_share_pages () =
+  let image = kernel_image ~target:60_000 () in
+  let sys = make_sys (D.System.Rules D.Opt.full) image in
+  let ctx = sys.D.System.rt.T.Runtime.ctx in
+  let dirty_pages () =
+    List.filter
+      (fun i -> Bytes.get ctx.Exec.dirty i <> '\000')
+      (List.init (Bytes.length ctx.Exec.dirty) Fun.id)
+  in
+  let steps = 12 in
+  let first = D.System.snapshot sys in
+  let caps = Array.make (steps + 1) first and dirtied = Array.make (steps + 1) [] in
+  for k = 1 to steps do
+    (* no watchdog, no checkpoint policy: nothing captures mid-step *)
+    ignore (D.System.run ~max_guest_insns:4_000 ~watchdog:false sys);
+    dirtied.(k) <- dirty_pages ();
+    caps.(k) <- D.System.snapshot sys;
+    let prev = ram_pages caps.(k - 1) and cur = ram_pages caps.(k) in
+    Array.iteri
+      (fun i page ->
+        if page != prev.(i) && not (List.mem i dirtied.(k)) then
+          Alcotest.failf "capture %d: page %d not shared, yet never marked dirty" k i)
+      cur
+  done;
+  let marked = Array.fold_left (fun n l -> n + List.length l) 0 dirtied in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most a few pages dirtied per step (%d in %d steps)" marked steps)
+    true
+    (marked <= 8 * steps);
+  (* walk back through the captures: each restore copies at most the
+     pages dirtied in the step it undoes *)
+  for k = steps downto 1 do
+    let copied = Snapshot.restore_ram ctx caps.(k - 1) in
+    if copied > List.length dirtied.(k) then
+      Alcotest.failf "restore of capture %d copied %d pages, %d were dirtied" (k - 1)
+        copied (List.length dirtied.(k));
+    check_restored (Printf.sprintf "restore of capture %d" (k - 1)) sys caps.(k - 1)
+  done;
+  (* an identical restore copies nothing *)
+  Alcotest.(check int) "restoring the current image copies no page" 0
+    (Snapshot.restore_ram ctx caps.(0));
+  (* the engine's own periodic checkpoints share pages the same way *)
+  D.System.restore sys caps.(0);
+  let prev = ref None and shared = ref [] in
+  ignore
+    (D.System.run ~max_guest_insns:48_000 ~checkpoint_every:4_000
+       ~on_checkpoint:(fun snap ->
+         let cur = ram_pages snap in
+         (match !prev with
+         | Some p ->
+           let n = ref 0 in
+           Array.iteri (fun i page -> if page != p.(i) then incr n) cur;
+           shared := !n :: !shared
+         | None -> ());
+         prev := Some cur)
+       sys);
+  Alcotest.(check bool) "the run checkpointed" true (List.length !shared >= 10);
+  List.iter
+    (fun n ->
+      if n > 8 then
+        Alcotest.failf "consecutive checkpoints differ in %d pages" n)
+    !shared
+
 let suite =
   [
     ( "snapshot",
@@ -566,5 +730,9 @@ let suite =
           test_journal_roundtrip;
         Alcotest.test_case "post-mortem profiles deterministic across restore"
           `Quick test_postmortem_profile_determinism;
+        Alcotest.test_case "RAM image invariant (dirty map)" `Quick
+          test_ram_image_invariant;
+        Alcotest.test_case "checkpoints share unwritten pages" `Quick
+          test_checkpoints_share_pages;
       ] );
   ]
