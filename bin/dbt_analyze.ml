@@ -420,7 +420,7 @@ let status_string = function
 let gate threshold baseline current =
   let decode path =
     let j = load_json path in
-    require_kind ~expect:"bench" path j;
+    require_kind ~require:true ~expect:"bench" path j;
     match A.bench_of_json j with
     | Some b -> b
     | None ->
@@ -445,6 +445,8 @@ let gate threshold baseline current =
     0
   end
   else begin
+    if not (List.exists (fun s -> s.A.sl_rule_enabled) base.A.bf_slices) then
+      Printf.printf "\n%s has no rule-enabled slice: nothing is gated\n" baseline;
     Printf.printf "\ngate: FAILED\n";
     exit_regression
   end

@@ -540,19 +540,3 @@ let breakdown t =
         row "rules:future" (rules D.Opt.future);
       ];
   }
-
-let ablations t =
-  [
-    breakdown t;
-    ablation_chaining t;
-    ablation_timer t;
-    ablation_ruleset t;
-    ablation_inline_mmu t;
-    ablation_cost_model t;
-  ]
-
-let all t =
-  [
-    table1 t; fig8 t; fig14 t; fig15 t; fig16 t; fig17 t; fig18 t; fig19 t; coverage t;
-  ]
-  @ ablations t

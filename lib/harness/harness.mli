@@ -132,8 +132,3 @@ val ablation_cost_model : t -> table
     engine/helper-side costs scaled to 50% and 200% of nominal
     ({!Repro_tcg.Costs.set_scale_pct}) — evidence that the shape
     claims do not hinge on the calibration constants. *)
-
-val ablations : t -> table list
-
-val all : t -> table list
-(** Every experiment (paper order), then the ablations. *)

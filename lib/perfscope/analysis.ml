@@ -107,7 +107,6 @@ type slice = {
   sl_host : int;
   sl_host_per_guest : float;
   sl_sync : int;
-  sl_wall_ms : float option;
 }
 
 type bench_file = { bf_rev : string; bf_target : int; bf_slices : slice list }
@@ -128,9 +127,6 @@ let slice_of_json v =
     match Jsonx.member "host_per_guest" v with Some f -> Jsonx.to_float f | None -> None
   in
   let* sl_sync = num "sync_insns" in
-  let sl_wall_ms =
-    match Jsonx.member "wall_ms" v with Some f -> Jsonx.to_float f | None -> None
-  in
   Some
     {
       sl_name;
@@ -142,7 +138,6 @@ let slice_of_json v =
       sl_host;
       sl_host_per_guest;
       sl_sync;
-      sl_wall_ms;
     }
 
 let bench_of_json json =
@@ -173,7 +168,8 @@ type gate_row = {
 (* Rule-enabled baseline slices must not regress host-insn/guest-insn
    by more than [threshold_pct]; qemu-baseline slices are reported but
    never gate (they are the reference the speedups are measured
-   against, not the optimized artifact under protection). *)
+   against, not the optimized artifact under protection). A baseline
+   with no rule-enabled slice (truncated, emptied) gates nothing: fail. *)
 let gate ?(threshold_pct = 5.) ~baseline ~current () =
   let rows =
     List.map
@@ -210,8 +206,8 @@ let gate ?(threshold_pct = 5.) ~baseline ~current () =
           })
       baseline.bf_slices
   in
-  let ok = List.for_all (fun r -> r.g_status = Gate_ok) rows in
-  (ok, rows)
+  let gated = List.exists (fun b -> b.sl_rule_enabled) baseline.bf_slices in
+  (gated && List.for_all (fun r -> r.g_status = Gate_ok) rows, rows)
 
 (* ---- file loading ---- *)
 

@@ -46,7 +46,6 @@ type slice = {
   sl_host : int;
   sl_host_per_guest : float;
   sl_sync : int;
-  sl_wall_ms : float option;
 }
 
 type bench_file = { bf_rev : string; bf_target : int; bf_slices : slice list }
@@ -75,7 +74,8 @@ val gate :
 (** Compare a current BENCH file against the committed baseline: every
     rule-enabled baseline slice must be present, retire a nonzero
     guest-instruction count, and not regress host-insn/guest-insn by
-    more than [threshold_pct] (default 5%). Returns (all-ok, rows). *)
+    more than [threshold_pct] (default 5%). A baseline with no
+    rule-enabled slice fails. Returns (all-ok, rows). *)
 
 (** {2 File loading} *)
 

@@ -57,20 +57,29 @@ let chaos_plan ~machines ~faulty ~seed () =
 
 (* One parallel drill: build a fresh fleet from the shared warm base,
    serve [requests] across [domains] with a telemetry collector
-   attached, and return (fleet report, telemetry document). *)
-let drill ~seed ~machines ~faulty ~requests ~domains =
+   attached (unless [telemetry] is false, which serves with no
+   per-request hook at all), and return (fleet report, telemetry
+   document; empty without a collector). *)
+let drill ?(telemetry = true) ~seed ~machines ~faulty ~requests ~domains () =
   let plan = chaos_plan ~machines ~faulty ~seed () in
   let f =
     Res.Fleet.create ~plan
       ~config:{ Res.Fleet.machines; min_healthy = 1; policy }
       (Lazy.force base)
   in
-  let collector = Tel.Collector.create ~every:4 f in
+  let collector =
+    if telemetry then Some (Tel.Collector.create ~every:4 f) else None
+  in
   Par.Parfleet.run f ~domains
-    ~after_each:(fun () -> Tel.Collector.tick collector)
+    ?after_each:(Option.map (fun c () -> Tel.Collector.tick c) collector)
     ~requests;
-  Tel.Collector.finish collector;
-  let telemetry = Tel.Collector.to_json collector in
+  let telemetry =
+    match collector with
+    | None -> ""
+    | Some c ->
+      Tel.Collector.finish c;
+      Tel.Collector.to_json c
+  in
   ignore (Res.Fleet.final_verify f);
   (Res.Fleet.metrics_json f, telemetry)
 
@@ -80,26 +89,34 @@ let drill ~seed ~machines ~faulty ~requests ~domains =
    cores are short), so this identity check runs unconditionally —
    even a 1-core CI runner exercises true multi-domain serving. *)
 let test_identity_two_domains () =
-  let m1, t1 = drill ~seed:11 ~machines:3 ~faulty:1 ~requests:9 ~domains:1 in
-  let m2, t2 = drill ~seed:11 ~machines:3 ~faulty:1 ~requests:9 ~domains:2 in
+  let m1, t1 = drill ~seed:11 ~machines:3 ~faulty:1 ~requests:9 ~domains:1 () in
+  let m2, t2 = drill ~seed:11 ~machines:3 ~faulty:1 ~requests:9 ~domains:2 () in
   Alcotest.(check string) "2-domain report byte-identical to 1-domain" m1 m2;
   Alcotest.(check string) "2-domain telemetry byte-identical" t1 t2;
-  let m3, _ = drill ~seed:11 ~machines:3 ~faulty:1 ~requests:9 ~domains:3 in
+  let m3, _ = drill ~seed:11 ~machines:3 ~faulty:1 ~requests:9 ~domains:3 () in
   Alcotest.(check string) "3 domains (more domains than busy shards)" m1 m3
 
-(* The full 4-domain chaos drill (the CI gate's shape: 4 machines,
-   2 sabotaged). Skipped on 1-core runners per
-   [Domain.recommended_domain_count] — the small unconditional test
-   above still covers cross-domain identity there. *)
+(* The full 4-domain chaos drill over two shapes: the CI gate's (4
+   machines, 2 sabotaged, a telemetry collector attached) and a longer
+   run with one sabotaged machine and no per-request hook. Skipped on
+   1-core runners per [Domain.recommended_domain_count] — the small
+   unconditional test above still covers cross-domain identity there. *)
 let test_identity_four_domain_chaos () =
   if Domain.recommended_domain_count () < 2 then
     Alcotest.skip ()
-  else begin
-    let m1, t1 = drill ~seed:7 ~machines:4 ~faulty:2 ~requests:12 ~domains:1 in
-    let m4, t4 = drill ~seed:7 ~machines:4 ~faulty:2 ~requests:12 ~domains:4 in
-    Alcotest.(check string) "4-domain chaos report byte-identical" m1 m4;
-    Alcotest.(check string) "4-domain chaos telemetry byte-identical" t1 t4
-  end
+  else
+    List.iter
+      (fun (faulty, requests, telemetry) ->
+        let m1, t1 =
+          drill ~telemetry ~seed:7 ~machines:4 ~faulty ~requests ~domains:1 ()
+        in
+        let m4, t4 =
+          drill ~telemetry ~seed:7 ~machines:4 ~faulty ~requests ~domains:4 ()
+        in
+        let case = Printf.sprintf " (%d faulty, %d requests)" faulty requests in
+        Alcotest.(check string) ("4-domain chaos report byte-identical" ^ case) m1 m4;
+        Alcotest.(check string) ("4-domain chaos telemetry byte-identical" ^ case) t1 t4)
+      [ (2, 12, true); (1, 16, false) ]
 
 let test_invalid_args () =
   let f =

@@ -307,6 +307,7 @@ let bench_json ~rev slices =
   Jsonx.parse
     (Jsonx.obj
        [
+         ("meta", Jsonx.str "bench");
          ("rev", Jsonx.str rev);
          ("target", Jsonx.int 1000);
          ( "slices",
@@ -327,7 +328,6 @@ let bench_json ~rev slices =
                           (if guest = 0 then 0.
                            else float_of_int host /. float_of_int guest) );
                       ("sync_insns", Jsonx.int 7);
-                      ("wall_ms", Jsonx.float 1.5);
                     ])
                 slices) );
        ])
@@ -377,9 +377,19 @@ let test_gate () =
   in
   let ok, rows = A.gate ~baseline ~current:empty () in
   Alcotest.(check bool) "empty slice fails" false ok;
-  match List.find (fun r -> r.A.g_name = "full") rows with
+  (match List.find (fun r -> r.A.g_name = "full") rows with
   | { A.g_status = A.Gate_empty; _ } -> ()
-  | _ -> Alcotest.fail "expected Gate_empty"
+  | _ -> Alcotest.fail "expected Gate_empty");
+  (* a baseline with no rule-enabled slice gates nothing, so it fails
+     rather than passing vacuously: both an emptied file and one
+     truncated down to its reference slices *)
+  let reference_only = decode (bench_json ~rev:"base" [ ("qemu", false, 1000, 40_000) ]) in
+  let ok, _ = A.gate ~baseline:reference_only ~current:baseline () in
+  Alcotest.(check bool) "reference-only baseline fails" false ok;
+  let no_slices = decode (bench_json ~rev:"base" []) in
+  let ok, rows = A.gate ~baseline:no_slices ~current:baseline () in
+  Alcotest.(check bool) "empty baseline fails" false ok;
+  Alcotest.(check int) "empty baseline has no rows" 0 (List.length rows)
 
 let test_bench_decode_rejects_malformed () =
   (* a slice missing a required field poisons the whole file *)
